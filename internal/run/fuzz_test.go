@@ -28,14 +28,14 @@ func newFuzzState() *fuzzState {
 
 // step interprets one (op, arg) byte pair against the state and returns a
 // digest line of what happened — including any Absorb error text — so a
-// replay can be compared step for step.
-func (st *fuzzState) step(op, arg byte) string {
+// replay can be compared step for step, together with the Absorb error.
+func (st *fuzzState) step(op, arg byte) (string, error) {
 	switch op % 4 {
 	case 0:
 		// Spontaneous state: absorb nothing but an external label.
 		v := st.views[int(arg)%3]
 		node, err := v.Absorb(nil, []string{fmt.Sprintf("e%d", arg%5)})
-		return fmt.Sprintf("ext %v %v", node, err)
+		return fmt.Sprintf("ext %v %v", node, err), err
 	case 1:
 		// Legitimate FFIP delivery along a ring arc: the sender's boundary
 		// state with its honest frozen snapshot.
@@ -44,11 +44,11 @@ func (st *fuzzState) step(op, arg byte) string {
 		sender := st.views[from-1]
 		bnd, ok := sender.Boundary(model.ProcID(from))
 		if !ok {
-			return "no boundary"
+			return "no boundary", nil
 		}
 		node, err := st.views[to-1].Absorb(
 			[]run.Receipt{{From: bnd, Payload: sender.Snapshot()}}, nil)
-		return fmt.Sprintf("legit %v %v", node, err)
+		return fmt.Sprintf("legit %v %v", node, err), err
 	case 2:
 		// Forged receipt: a From node the payload does not cover (or no
 		// payload at all, or an out-of-range process). Absorb must reject it
@@ -60,14 +60,14 @@ func (st *fuzzState) step(op, arg byte) string {
 			payload = st.views[(int(arg)+1)%3].Snapshot()
 		}
 		node, err := v.Absorb([]run.Receipt{{From: forged, Payload: payload}}, nil)
-		return fmt.Sprintf("forged %v %v", node, err)
+		return fmt.Sprintf("forged %v %v", node, err), err
 	default:
 		// Cross-network payload: a snapshot whose member vector has the
-		// wrong shape. merge must reject it.
+		// wrong shape. Absorb must reject it.
 		v := st.views[int(arg)%3]
 		node, err := v.Absorb([]run.Receipt{{From: run.BasicNode{Proc: 1, Index: 0},
 			Payload: st.decoy.Snapshot()}}, nil)
-		return fmt.Sprintf("xnet %v %v", node, err)
+		return fmt.Sprintf("xnet %v %v", node, err), err
 	}
 }
 
@@ -75,16 +75,18 @@ func (st *fuzzState) step(op, arg byte) string {
 func (st *fuzzState) digest() string {
 	out := ""
 	for i, v := range st.views {
-		out += fmt.Sprintf("view%d origin=%v size=%d deliveries=%d;", i, v.Origin(), v.Size(), v.DeliveryCount())
+		out += fmt.Sprintf("view%d origin=%v size=%d deliveries=%d fp=%#x;",
+			i, v.Origin(), v.Size(), v.DeliveryCount(), v.Fingerprint())
 	}
 	return out
 }
 
 // FuzzViewAbsorb drives View.Absorb with an arbitrary interleaving of
-// legitimate deliveries, forged receipts and cross-network payloads. Two
+// legitimate deliveries, forged receipts and cross-network payloads. Three
 // invariants: no input may panic the view (malformed receipts are typed
-// errors), and the interpreter is deterministic — replaying the same ops on
-// fresh views reproduces every step digest and the final state exactly.
+// errors), a step that returns an error leaves every view's digest
+// unchanged, and the interpreter is deterministic — replaying the same ops
+// on fresh views reproduces every step digest and the final state exactly.
 func FuzzViewAbsorb(f *testing.F) {
 	f.Add([]byte{0, 1, 4, 2, 8, 3, 1, 0, 2, 2, 3, 9})
 	f.Add([]byte{1, 0, 1, 1, 1, 2, 0, 0, 0, 1, 0, 2})
@@ -95,8 +97,12 @@ func FuzzViewAbsorb(f *testing.F) {
 		}
 		a, b := newFuzzState(), newFuzzState()
 		for i := 0; i+1 < len(data); i += 2 {
-			ra := a.step(data[i], data[i+1])
-			rb := b.step(data[i], data[i+1])
+			before := a.digest()
+			ra, err := a.step(data[i], data[i+1])
+			if after := a.digest(); err != nil && after != before {
+				t.Fatalf("step %d: rejected (%v) but changed the views:\n %s\n %s", i/2, err, before, after)
+			}
+			rb, _ := b.step(data[i], data[i+1])
 			if ra != rb {
 				t.Fatalf("step %d diverged:\n %s\n %s", i/2, ra, rb)
 			}

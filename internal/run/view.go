@@ -1,7 +1,9 @@
 package run
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -37,9 +39,16 @@ type View struct {
 	id uint64
 	// members[p-1] is the boundary index of process p (-1 if absent).
 	members []int
-	// sent indexes the unique delivery per (sender node, destination
-	// process) for DeliveryTo lookups and log deduplication.
-	sent map[sentKey]BasicNode
+	// recv is the dense DeliveryTo index over the network's CSR out-arcs:
+	// recv[p-1][k*deg(p)+slot] is the receiver index + 1 of the message
+	// node p#k sent on its slot-th out-arc (0 = not delivered inside the
+	// view). Rows grow with the sender timelines the view records.
+	recv [][]int32
+	// unmodeled records deliveries over channels the network does not
+	// model. Every real run leaves it empty; it keeps such deliveries
+	// visible so the knowledge engines can reject them with
+	// model.ErrNoChannel.
+	unmodeled []Delivery
 	// externals[node] lists external-input labels absorbed at that node.
 	externals map[BasicNode][]string
 	// extEarliest indexes, per (process, label), the earliest non-initial
@@ -91,9 +100,12 @@ func ViewOf(r *Run, sigma BasicNode) (*View, error) {
 		origin:    sigma,
 		id:        viewIDs.Add(1),
 		members:   append([]int(nil), ps.members...),
-		sent:      make(map[sentKey]BasicNode),
+		recv:      make([][]int32, r.net.N()),
 		externals: make(map[BasicNode][]string),
 		fp:        fpMix(fpSeed(r.net), uint64(sigma.Proc)),
+	}
+	for i, k := range v.members {
+		v.recv[i] = make([]int32, (k+1)*len(r.net.OutArcs(model.ProcID(i+1))))
 	}
 	for _, d := range r.deliveries {
 		if !ps.Contains(d.To) {
@@ -116,7 +128,7 @@ func NewLocalView(net *model.Network, p model.ProcID) *View {
 		origin:    BasicNode{Proc: p, Index: 0},
 		id:        viewIDs.Add(1),
 		members:   make([]int, net.N()),
-		sent:      make(map[sentKey]BasicNode),
+		recv:      make([][]int32, net.N()),
 		externals: make(map[BasicNode][]string),
 		fp:        fpMix(fpSeed(net), uint64(p)),
 	}
@@ -127,15 +139,60 @@ func NewLocalView(net *model.Network, p model.ProcID) *View {
 	return v
 }
 
-func (v *View) recordDelivery(from, to BasicNode, ch model.ChanID) {
-	key := sentKey{from: from, to: to.Proc}
-	if _, ok := v.sent[key]; ok {
-		return
+// slot returns the position of the channel from -> to among from's deg
+// out-arcs, or -1 if the network does not model it. ch is the channel id the
+// caller already holds: when it names that channel, the slot is one
+// subtraction instead of ChanIDOf's search.
+func (v *View) slot(from, to model.ProcID, ch model.ChanID) (s, deg int) {
+	arcs := v.net.OutArcs(from)
+	if len(arcs) == 0 {
+		return -1, 0
 	}
-	v.sent[key] = to
+	if s = int(ch - arcs[0].ID); ch != model.NoChan && s >= 0 && s < len(arcs) && arcs[s].To == to {
+		return s, len(arcs)
+	}
+	if ch = v.net.ChanIDOf(from, to); ch == model.NoChan {
+		return -1, len(arcs)
+	}
+	return int(ch - arcs[0].ID), len(arcs)
+}
+
+// recordDelivery appends the delivery to the log unless the message from
+// sent to process to.Proc is already recorded.
+func (v *View) recordDelivery(from, to BasicNode, ch model.ChanID) {
+	if s, deg := v.slot(from.Proc, to.Proc, ch); s < 0 {
+		if _, ok := v.unmodeledTo(from, to.Proc); ok {
+			return
+		}
+		v.unmodeled = append(v.unmodeled, Delivery{From: from, To: to, Chan: ch})
+	} else {
+		i := from.Index*deg + s
+		row := v.recv[from.Proc-1]
+		if i >= len(row) {
+			row = growRow(row, (from.Index+1)*deg)
+			v.recv[from.Proc-1] = row
+		} else if row[i] != 0 {
+			return
+		}
+		row[i] = int32(to.Index) + 1
+	}
 	d := Delivery{From: from, To: to, Chan: ch}
 	v.log = append(v.log, d)
 	v.fp = fpDelivery(v.fp, d)
+}
+
+// growRow extends a dense index row to n zero-filled entries, doubling its
+// capacity when it must move. Entries past a row's length are always zero:
+// fresh arrays are zeroed and nothing writes there. (The append-of-make
+// idiom does the same in one line, but under the race detector it
+// allocates its temporary, which the allocation guards count.)
+func growRow(row []int32, n int) []int32 {
+	if n <= cap(row) {
+		return row[:n]
+	}
+	grown := make([]int32, n, max(n, 2*cap(row)))
+	copy(grown, row)
+	return grown
 }
 
 func (v *View) recordExternal(node BasicNode, label string) {
@@ -203,8 +260,26 @@ func (v *View) Size() int {
 // DeliveryTo returns the node that received the message sent at from to
 // process to, if that delivery is inside the view.
 func (v *View) DeliveryTo(from BasicNode, to model.ProcID) (BasicNode, bool) {
-	b, ok := v.sent[sentKey{from: from, to: to}]
-	return b, ok
+	s, deg := v.slot(from.Proc, to, model.NoChan)
+	if s < 0 || from.Index < 0 {
+		return v.unmodeledTo(from, to)
+	}
+	row := v.recv[from.Proc-1]
+	if from.Index >= len(row)/deg || row[from.Index*deg+s] == 0 {
+		return BasicNode{}, false
+	}
+	return BasicNode{Proc: to, Index: int(row[from.Index*deg+s]) - 1}, true
+}
+
+// unmodeledTo looks the message from sent to process to up in the side list
+// of deliveries over unmodeled channels.
+func (v *View) unmodeledTo(from BasicNode, to model.ProcID) (BasicNode, bool) {
+	for _, d := range v.unmodeled {
+		if d.From == from && d.To.Proc == to {
+			return d.To, true
+		}
+	}
+	return BasicNode{}, false
 }
 
 // DeliveryCount returns the number of distinct deliveries the view has
@@ -219,49 +294,60 @@ func (v *View) DeliveryCount() int { return len(v.log) }
 func (v *View) DeliveriesSince(mark int) []Delivery { return v.log[mark:] }
 
 // Deliveries returns the view's deliveries as (from, to) node pairs in
-// deterministic order, with the dense channel id resolved. Send and receive
-// times are structural unknowns and left zero.
+// deterministic order (by sender node, then destination process), with the
+// dense channel id resolved. Send and receive times are structural unknowns
+// and left zero. The dense index already holds them in that order, so only
+// deliveries over unmodeled channels need a sort.
 func (v *View) Deliveries() []Delivery {
-	out := append([]Delivery(nil), v.log...)
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.From.Proc != b.From.Proc {
-			return a.From.Proc < b.From.Proc
+	out := make([]Delivery, 0, len(v.log))
+	for i, row := range v.recv {
+		arcs := v.net.OutArcs(model.ProcID(i + 1))
+		for base := 0; base < len(row); base += len(arcs) {
+			for s, a := range arcs {
+				if k := row[base+s]; k != 0 {
+					out = append(out, Delivery{
+						From: BasicNode{Proc: a.From, Index: base / len(arcs)},
+						To:   BasicNode{Proc: a.To, Index: int(k) - 1},
+						Chan: a.ID,
+					})
+				}
+			}
 		}
-		if a.From.Index != b.From.Index {
-			return a.From.Index < b.From.Index
-		}
-		return a.To.Proc < b.To.Proc
-	})
+	}
+	if len(v.unmodeled) > 0 {
+		out = append(out, v.unmodeled...)
+		slices.SortFunc(out, func(a, b Delivery) int {
+			if c := cmp.Compare(a.From.Proc, b.From.Proc); c != 0 {
+				return c
+			}
+			if c := cmp.Compare(a.From.Index, b.From.Index); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.To.Proc, b.To.Proc)
+		})
+	}
 	return out
 }
 
 // Leaving returns the (sender, destination) pairs of FFIP messages sent at
 // view nodes and not received inside the view — the E” generators of the
-// extended bounds graph. Send times are structural unknowns and left zero.
+// extended bounds graph, ordered by sender and destination (out-arcs are
+// sorted by destination). Send times are structural unknowns and left zero.
 func (v *View) Leaving() []Pending {
 	var out []Pending
 	for i, k := range v.members {
-		p := model.ProcID(i + 1)
+		arcs := v.net.OutArcs(model.ProcID(i + 1))
+		row := v.recv[i]
 		for idx := 1; idx <= k; idx++ {
-			from := BasicNode{Proc: p, Index: idx}
-			for _, a := range v.net.OutArcs(p) {
-				if _, ok := v.DeliveryTo(from, a.To); !ok {
-					out = append(out, Pending{From: from, To: a.To, Chan: a.ID})
+			from := BasicNode{Proc: model.ProcID(i + 1), Index: idx}
+			for s, a := range arcs {
+				if j := idx*len(arcs) + s; j < len(row) && row[j] != 0 {
+					continue
 				}
+				out = append(out, Pending{From: from, To: a.To, Chan: a.ID})
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.From.Proc != b.From.Proc {
-			return a.From.Proc < b.From.Proc
-		}
-		if a.From.Index != b.From.Index {
-			return a.From.Index < b.From.Index
-		}
-		return a.To < b.To
-	})
 	return out
 }
 
@@ -356,20 +442,24 @@ type Receipt struct {
 // Absorb advances the view by one receive batch: the owning process moves
 // to its next local state, merges every sender's payload snapshot, records
 // the batch's deliveries and external inputs, and returns the new node. It
-// implements the FFIP state transition on the receiving side.
+// implements the FFIP state transition on the receiving side. The whole
+// batch is validated first, so a rejected batch leaves the view unchanged.
 func (v *View) Absorb(receipts []Receipt, externalLabels []string) (BasicNode, error) {
 	p := v.origin.Proc
 	next := BasicNode{Proc: p, Index: v.members[p-1] + 1}
+	for i, rc := range receipts {
+		if rc.Payload != nil && len(rc.Payload.members) != len(v.members) {
+			return BasicNode{}, fmt.Errorf("run: merging views over different networks")
+		}
+		if !v.covers(next, receipts[:i+1], rc.From) {
+			return BasicNode{}, fmt.Errorf("run: receipt from %s not covered by its own payload", rc.From)
+		}
+	}
 	v.members[p-1] = next.Index
 	v.origin = next
 	for _, rc := range receipts {
 		if rc.Payload != nil {
-			if err := v.merge(rc.Payload); err != nil {
-				return BasicNode{}, err
-			}
-		}
-		if !v.Contains(rc.From) {
-			return BasicNode{}, fmt.Errorf("run: receipt from %s not covered by its own payload", rc.From)
+			v.merge(rc.Payload)
 		}
 		v.recordDelivery(rc.From, next, v.net.ChanIDOf(rc.From.Proc, p))
 	}
@@ -379,27 +469,54 @@ func (v *View) Absorb(receipts []Receipt, externalLabels []string) (BasicNode, e
 	return next, nil
 }
 
-// merge unions a payload snapshot into this view. Everything below the
-// watermark recorded for the snapshot's source view was merged from an
-// earlier (prefix) snapshot already, so only the suffix is scanned.
-func (v *View) merge(s *Snapshot) error {
-	if len(s.members) != len(v.members) {
-		return fmt.Errorf("run: merging views over different networks")
+// covers reports whether b lies in the union of the view advanced to next
+// and the payloads of batch — the membership b would have once Absorb has
+// merged those payloads.
+func (v *View) covers(next BasicNode, batch []Receipt, b BasicNode) bool {
+	if b.Proc < 1 || int(b.Proc) > len(v.members) || b.Index < 0 {
+		return false
 	}
-	for i, k := range s.members {
-		if k > v.members[i] {
-			v.members[i] = k
+	k := v.members[b.Proc-1]
+	if b.Proc == next.Proc {
+		k = next.Index
+	}
+	for _, rc := range batch {
+		if rc.Payload != nil && rc.Payload.members[b.Proc-1] > k {
+			k = rc.Payload.members[b.Proc-1]
 		}
 	}
+	return b.Index <= k
+}
+
+// merge unions a payload snapshot over the same network into this view.
+// Everything below the watermark recorded for the snapshot's source view was
+// merged from an earlier (prefix) snapshot already, so only the suffix is
+// scanned.
+//
+// Views are downward-closed: every full-information payload carries the
+// sender's whole causal past, so a view holds every delivery into each of
+// its nodes. A payload delivery into a node that was already a member
+// before this merge is therefore already recorded, and the frontier check
+// skips it without consulting the delivery index.
+func (v *View) merge(s *Snapshot) {
 	if v.merged == nil {
 		v.merged = make(map[uint64]logMarks)
 	}
 	mk := v.merged[s.source]
 	for i := mk.log; i < len(s.log); i++ {
-		v.recordDelivery(s.log[i].From, s.log[i].To, s.log[i].Chan)
+		d := &s.log[i]
+		if d.To.Index <= v.members[d.To.Proc-1] {
+			continue
+		}
+		v.recordDelivery(d.From, d.To, d.Chan)
 	}
 	for i := mk.ext; i < len(s.extLog); i++ {
 		v.recordExternal(s.extLog[i].To, s.extLog[i].Label)
+	}
+	for i, k := range s.members {
+		if k > v.members[i] {
+			v.members[i] = k
+		}
 	}
 	// Channels need not be FIFO: a snapshot older than one already merged
 	// can arrive later, so the watermark only ever advances.
@@ -410,7 +527,6 @@ func (v *View) merge(s *Snapshot) error {
 		mk.ext = len(s.extLog)
 	}
 	v.merged[s.source] = mk
-	return nil
 }
 
 // Clone returns a deep copy with its own logs and indexes, for callers that
@@ -422,14 +538,15 @@ func (v *View) Clone() *View {
 		origin:    v.origin,
 		id:        viewIDs.Add(1),
 		members:   append([]int(nil), v.members...),
-		sent:      make(map[sentKey]BasicNode, len(v.sent)),
+		recv:      make([][]int32, len(v.recv)),
+		unmodeled: append([]Delivery(nil), v.unmodeled...),
 		externals: make(map[BasicNode][]string, len(v.externals)),
 		log:       append([]Delivery(nil), v.log...),
 		extLog:    append([]External(nil), v.extLog...),
 		fp:        v.fp,
 	}
-	for key, node := range v.sent {
-		c.sent[key] = node
+	for i, row := range v.recv {
+		c.recv[i] = append([]int32(nil), row...)
 	}
 	for node, labels := range v.externals {
 		c.externals[node] = append([]string(nil), labels...)
