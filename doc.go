@@ -67,7 +67,7 @@
 // allocation-budget tests in internal/sim, internal/bounds and
 // internal/live. Online agents keep an incremental knowledge engine
 // (bounds.Online) that extends a standing extended bounds graph with each
-// state's delta — read off the view's append-only delivery log — and
+// state's delta — the nodes that entered the view and their inboxes — and
 // re-relaxes longest paths from only the new edges, answering exactly as a
 // fresh per-state build would at a small fraction of the cost. Knowledge
 // state is stratified by lifetime into a three-tier hierarchy:

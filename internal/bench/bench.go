@@ -94,8 +94,8 @@ type StateBatch struct {
 // ReplayBatches reconstructs the receive batches of every observed process
 // from a recorded run, in global (time, process) order, with payload
 // snapshots taken from per-process views evolved in lockstep — the exact
-// payload structure (shared source identities, prefix-extending logs) the
-// live engine produces, so view merges hit the same watermark fast path.
+// payload structure (prefixes of shared per-process timelines) the live
+// engine produces.
 // It also returns the observed processes' fully-evolved views, for
 // harnesses that subscribe fresh engines to a finished run.
 func ReplayBatches(r *run.Run, observed map[model.ProcID]bool) ([]StateBatch, map[model.ProcID]*run.View) {

@@ -227,3 +227,72 @@ func TestSharedEarlyAllocationGuard(t *testing.T) {
 		t.Fatalf("measured queries were not reverse warm hits: %+v -> %+v", base, after)
 	}
 }
+
+// TestEarlySeedsStayBounded: an Early agent's first query sets up the
+// forward cache, and the reverse cache answers every query after it. Sync
+// keeps collecting forward seeds all the while, so without a reset they
+// outgrow the graph; they must stay within its vertex count, and every
+// answer must still equal a fresh build.
+func TestEarlySeedsStayBounded(t *testing.T) {
+	cfg := workload.DefaultConfig(3)
+	cfg.Procs = 5
+	in := workload.MustGenerate(cfg)
+	r, err := in.Simulate(sim.NewRandom(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := in.Net.Procs()[0]
+	var (
+		online *Online
+		h      *Handle
+		target run.GeneralNode
+		states int
+	)
+	replayViews(t, r, p, func(k int, v *run.View) {
+		if online == nil {
+			ts := earlyTargets(v)
+			if len(ts) == 0 {
+				return
+			}
+			target = ts[0]
+			online = NewOnline(v)
+			var err error
+			if h, err = NewShared(in.Net).NewHandle(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fresh, err := NewExtendedFromView(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sigma := run.At(v.Origin())
+		wantKW, _, wantKnown, wantErr := fresh.KnowledgeWeight(sigma, target)
+		if wantErr != nil {
+			t.Fatal(wantErr)
+		}
+		for name, q := range map[string]func(a, b run.GeneralNode) (int, bool, error){
+			"online": online.KnowledgeWeight, "handle": h.KnowledgeWeight,
+		} {
+			kw, known, err := q(sigma, target)
+			if err != nil || known != wantKnown || (known && kw != wantKW) {
+				t.Fatalf("%s at p%d#%d: (%d,%v,%v), fresh (%d,%v)", name, p, k, kw, known, err, wantKW, wantKnown)
+			}
+		}
+		if n := online.NumVertices(); len(online.seeds) > n {
+			t.Fatalf("online at p%d#%d: %d seeds over %d vertices", p, k, len(online.seeds), n)
+		}
+		if n := h.shared.g.N(); len(h.seeds) > n || len(h.admitted) > n {
+			t.Fatalf("handle at p%d#%d: %d seeds, %d admitted over %d vertices", p, k, len(h.seeds), len(h.admitted), n)
+		}
+		states++
+	})
+	if online == nil || states < 50 {
+		t.Fatalf("fixture too short: %d states", states)
+	}
+	for name, st := range map[string]HandleStats{"online": online.Stats(), "handle": h.Stats()} {
+		if st.RevHits == 0 {
+			t.Fatalf("%s: the reverse cache never answered: %+v", name, st)
+		}
+	}
+	t.Logf("%d states, %d vertices", states, online.NumVertices())
+}

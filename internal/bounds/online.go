@@ -12,8 +12,8 @@ import (
 // an online agent as its view grows. A fresh NewExtendedFromView pays the
 // full O(V+E) construction at every new local state; Online exploits the
 // monotone growth of the view — nodes and deliveries are only ever added —
-// to extend the standing vertex and edge tables with just the delta it
-// reads off the view's append-only delivery log.
+// to extend the standing vertex and edge tables with just the delta: the
+// nodes that entered the view since the last sync and their inboxes.
 //
 // The maintained graph is *answer-equivalent* to a fresh build, not
 // byte-identical in layout: vertex ids are assigned in arrival order (the
@@ -43,11 +43,9 @@ type Online struct {
 
 	// members[p-1] is the boundary index covered by the last sync (-1 if
 	// the process had not entered the view); prev is its scratch copy so
-	// the delivery pass can tell new senders from old ones.
+	// the delivery pass can tell new nodes and senders from old ones.
 	members []int
 	prev    []int
-	// logMark is the watermark into the view's delivery log.
-	logMark int
 	// vertexOf[p-1][k] is the vertex id of past node (p, k).
 	vertexOf [][]int32
 	// outCap/inCap[p-1] are the adjacency capacity hints for process p's
@@ -166,6 +164,12 @@ func (o *Online) vertex(b run.BasicNode) int {
 // Queries sync implicitly; the method is exposed for callers that want to
 // pay the graph maintenance at a specific point.
 func (o *Online) Sync() error {
+	// A view holding a delivery over an unmodeled channel fails every sync,
+	// exactly as a fresh build from the same view does at every state.
+	if um := o.view.Unmodeled(); len(um) > 0 {
+		ch := um[0].Channel()
+		return fmt.Errorf("%w: %d->%d", model.ErrNoChannel, ch.From, ch.To)
+	}
 	net := o.view.Net()
 	copy(o.prev, o.members)
 	grew := false
@@ -220,8 +224,10 @@ func (o *Online) Sync() error {
 		o.members[p-1] = cur
 	}
 
-	// Pass 2: wire the new deliveries. A delivery whose sender predates
-	// this sync retires the leaving edge recorded for it earlier.
+	// Pass 2: wire the new deliveries — the inboxes of the nodes pass 1
+	// added (a view holds every delivery into each of its nodes). A
+	// delivery whose sender predates this sync retires the leaving edge
+	// recorded for it earlier.
 	//
 	// Removal does NOT invalidate the cached distances: per-state fresh
 	// distances are pointwise non-decreasing — on node vertices they are,
@@ -233,35 +239,29 @@ func (o *Online) Sync() error {
 	// satisfied remains satisfied, and re-relaxing from the added edges'
 	// sources converges to the exact new fixpoint. The differential test
 	// pins this equality on every state.
-	delta := o.view.DeliveriesSince(o.logMark)
-	for i := range delta {
-		d := &delta[i]
-		if d.Chan == model.NoChan {
-			// The watermark stays on this entry, so every retry re-reports
-			// the same error — exactly as a fresh build from the same view
-			// does at every state.
-			ch := d.Channel()
-			return fmt.Errorf("%w: %d->%d", model.ErrNoChannel, ch.From, ch.To)
-		}
-		grew = true
-		bd := net.BoundsOf(d.Chan)
-		u := o.vertex(d.From)
-		v := o.vertex(d.To)
-		o.g.AddEdge(u, v, bd.Lower)
-		o.g.AddEdge(v, u, -bd.Upper)
-		o.seeds = append(o.seeds, u, v)
-		if o.revCacheValid {
-			o.revSeeds = append(o.revSeeds, u, v)
-		}
-		if d.From.Index <= o.prev[d.From.Proc-1] {
-			if !o.g.RemoveEdge(o.aux(d.To.Proc), u, -bd.Upper) {
-				return fmt.Errorf("bounds: online sync lost the leaving edge of %s->%d", d.From, d.To.Proc)
+	for i := range o.members {
+		for k := o.prev[i] + 1; k <= o.members[i]; k++ {
+			to := run.BasicNode{Proc: model.ProcID(i + 1), Index: k}
+			v := o.vertex(to)
+			for _, a := range o.view.Inbox(to) {
+				bd := net.BoundsOf(a.Chan)
+				u := o.vertex(a.From)
+				o.g.AddEdge(u, v, bd.Lower)
+				o.g.AddEdge(v, u, -bd.Upper)
+				o.seeds = append(o.seeds, u, v)
+				if o.revCacheValid {
+					o.revSeeds = append(o.revSeeds, u, v)
+				}
+				if a.From.Index <= o.prev[a.From.Proc-1] {
+					if !o.g.RemoveEdge(o.aux(to.Proc), u, -bd.Upper) {
+						return fmt.Errorf("bounds: online sync lost the leaving edge of %s->%d", a.From, to.Proc)
+					}
+					// The retirement can lower reverse distances on the aux
+					// band; the next warm reverse run must re-derive it.
+					o.revRetired = o.revRetired || o.revCacheValid
+				}
 			}
-			// The retirement can lower reverse distances on the aux band;
-			// the next warm reverse run must re-derive it.
-			o.revRetired = o.revRetired || o.revCacheValid
 		}
-		o.logMark++
 	}
 	if grew && !o.cacheValid {
 		o.seeds = o.seeds[:0]
@@ -410,6 +410,13 @@ func (o *Online) KnowledgeWeight(theta1, theta2 run.GeneralNode) (kw int, known 
 		}
 		o.revSeeds = o.revSeeds[:0]
 		o.revRetired = false
+		// The forward cache this branch answers around keeps collecting
+		// seeds at every sync. Once they outnumber the vertices a warm
+		// restart costs no less than a cold run, so drop it.
+		if len(o.seeds) > base {
+			o.cacheValid = false
+			o.seeds = o.seeds[:0]
+		}
 		w, reachable := int(dist[u]), dist[u] != graph.NegInf
 		o.rollback(base)
 		if !reachable {

@@ -187,7 +187,7 @@ func TestOnlineQueriesAreRepeatable(t *testing.T) {
 // TestOnlineRejectsUnmodeledChannel mirrors the fresh-build error path: a
 // delivery over a channel the network does not model surfaces as
 // model.ErrNoChannel from the online engine too — and keeps doing so on
-// every retry (the log watermark stays on the bad entry), matching a fresh
+// every retry (every sync checks the view's unmodeled list), matching a fresh
 // build's stable answer instead of degrading into an internal error.
 func TestOnlineRejectsUnmodeledChannel(t *testing.T) {
 	net := model.NewBuilder(3).Chan(1, 2, 1, 2).Chan(2, 3, 1, 2).MustBuild()

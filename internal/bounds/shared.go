@@ -212,8 +212,8 @@ type Handle struct {
 
 	// members[p-1] is the boundary index covered by the last sync (-1 if
 	// the process had not entered the view); prev is its scratch copy so
-	// the delivery pass can tell new senders from old ones; limit mirrors
-	// members as the graph.Restriction limits.
+	// the delivery pass can tell new nodes and senders from old ones;
+	// limit mirrors members as the graph.Restriction limits.
 	members []int
 	prev    []int
 	limit   []int32
@@ -223,8 +223,6 @@ type Handle struct {
 	// other agents forced into the standing graph. Extended on every sync;
 	// chain vertices are appended true per query and truncated on rollback.
 	vis []bool
-	// logMark is the watermark into this agent's view delivery log.
-	logMark int
 	// overlay[q-1] holds the agent's live E'' edges out of psi_q.
 	overlay [][]graph.Edge
 
@@ -407,6 +405,12 @@ func (h *Handle) Sync() error {
 
 // sync is Sync with s.mu held.
 func (h *Handle) sync() error {
+	// A view holding a delivery over an unmodeled channel fails every sync,
+	// exactly as a fresh build from the same view does at every state.
+	if um := h.view.Unmodeled(); len(um) > 0 {
+		ch := um[0].Channel()
+		return fmt.Errorf("%w: %d->%d", model.ErrNoChannel, ch.From, ch.To)
+	}
 	s := h.shared
 	net := h.view.Net()
 	copy(h.prev, h.members)
@@ -484,48 +488,43 @@ func (h *Handle) sync() error {
 		h.vis = append(h.vis, false)
 	}
 
-	// Pass 2: wire the new deliveries. The standing edge pair is added once
-	// across all handles; a delivery whose sender predates this sync
-	// retires the overlay entry recorded for it earlier. As with
-	// bounds.Online, retirement does not invalidate the cached distances:
-	// per-state fresh distances of this agent are pointwise non-decreasing
-	// (knowledge is persistent), so the cache stays a valid
-	// under-approximating warm start and re-relaxing from the added edges'
-	// sources converges to the exact new fixpoint.
-	delta := h.view.DeliveriesSince(h.logMark)
-	for i := range delta {
-		d := &delta[i]
-		if d.Chan == model.NoChan {
-			// The watermark stays on this entry, so every retry re-reports
-			// the same error — exactly as a fresh build from the same view
-			// does at every state.
-			ch := d.Channel()
-			return fmt.Errorf("%w: %d->%d", model.ErrNoChannel, ch.From, ch.To)
-		}
-		grew = true
-		bd := net.BoundsOf(d.Chan)
-		u := h.vertex(d.From)
-		v := h.vertex(d.To)
-		s.absorbDelivery(u, v, d.Chan, bd)
-		h.seeds = append(h.seeds, u, v)
-		if h.revCacheValid {
-			h.revSeeds = append(h.revSeeds, u, v)
-		}
-		if d.From.Index <= h.prev[d.From.Proc-1] {
-			if !removeOverlayEdge(&h.overlay[d.To.Proc-1], u, -bd.Upper) {
-				return fmt.Errorf("bounds: shared handle lost the E'' edge of %s->%d", d.From, d.To.Proc)
-			}
-			if h.revEnabled {
-				if u >= len(h.roverlay) || !removeOverlayEdge(&h.roverlay[u], int(d.To.Proc)-1, -bd.Upper) {
-					return fmt.Errorf("bounds: shared handle lost the reverse E'' edge of %s->%d", d.From, d.To.Proc)
+	// Pass 2: wire the new deliveries — the inboxes of the nodes pass 1
+	// admitted (a view holds every delivery into each of its nodes). The
+	// standing edge pair is added once across all handles; a delivery whose
+	// sender predates this sync retires the overlay entry recorded for it
+	// earlier. As with bounds.Online, retirement does not invalidate the
+	// cached distances: per-state fresh distances of this agent are
+	// pointwise non-decreasing (knowledge is persistent), so the cache stays
+	// a valid under-approximating warm start and re-relaxing from the added
+	// edges' sources converges to the exact new fixpoint.
+	for i := range h.members {
+		for k := h.prev[i] + 1; k <= h.members[i]; k++ {
+			to := run.BasicNode{Proc: model.ProcID(i + 1), Index: k}
+			v := h.vertex(to)
+			for _, a := range h.view.Inbox(to) {
+				bd := net.BoundsOf(a.Chan)
+				u := h.vertex(a.From)
+				s.absorbDelivery(u, v, a.Chan, bd)
+				h.seeds = append(h.seeds, u, v)
+				if h.revCacheValid {
+					h.revSeeds = append(h.revSeeds, u, v)
+				}
+				if a.From.Index <= h.prev[a.From.Proc-1] {
+					if !removeOverlayEdge(&h.overlay[i], u, -bd.Upper) {
+						return fmt.Errorf("bounds: shared handle lost the E'' edge of %s->%d", a.From, to.Proc)
+					}
+					if h.revEnabled {
+						if u >= len(h.roverlay) || !removeOverlayEdge(&h.roverlay[u], i, -bd.Upper) {
+							return fmt.Errorf("bounds: shared handle lost the reverse E'' edge of %s->%d", a.From, to.Proc)
+						}
+					}
+					// Retirement can lower reverse distances on the aux band;
+					// the next warm reverse run must re-derive it before
+					// trusting the cache.
+					h.revRetired = h.revRetired || h.revCacheValid
 				}
 			}
-			// Retirement can lower reverse distances on the aux band; the
-			// next warm reverse run must re-derive it before trusting the
-			// cache.
-			h.revRetired = h.revRetired || h.revCacheValid
 		}
-		h.logMark++
 	}
 	if grew && !h.cacheValid {
 		h.seeds = h.seeds[:0]
@@ -758,6 +757,14 @@ func (h *Handle) KnowledgeWeight(theta1, theta2 run.GeneralNode) (kw int, known 
 		h.revSeeds = h.revSeeds[:0]
 		h.revAdmitted = h.revAdmitted[:0]
 		h.revRetired = false
+		// The forward cache this branch answers around keeps collecting
+		// seeds at every sync. Once they outnumber the vertices a warm
+		// restart costs no less than a cold run, so drop it.
+		if len(h.seeds) > base {
+			h.cacheValid = false
+			h.seeds = h.seeds[:0]
+			h.admitted = h.admitted[:0]
+		}
 		answer = dist[u]
 		w, reachable := int(answer), answer != graph.NegInf
 		h.rollback(base)

@@ -13,8 +13,8 @@ import (
 // replayAll reconstructs every process's view evolution from a recorded run
 // in global time order — the interleaving the live environment produces —
 // and calls visit at each new state of an observer process. Payload
-// snapshots come from the per-process views themselves, so merges exercise
-// the same watermark fast path as live execution.
+// snapshots come from the per-process views themselves, so merges share
+// timelines exactly as in live execution.
 func replayAll(t *testing.T, r *run.Run, observers map[model.ProcID]bool, visit func(p model.ProcID, k int, v *run.View)) {
 	t.Helper()
 	net := r.Net()

@@ -2,21 +2,13 @@ package run
 
 import "github.com/clockless/zigzag/internal/model"
 
-// Event fingerprints: rolling 64-bit FNV-1a hashes over append-only event
-// logs, seeded with the network's content fingerprint. They give runs and
-// views cheap content identities:
-//
-//   - (*Run).Fingerprint hashes the arrival-ordered delivery log and the
-//     external log of a finished recording. Two byte-identical runs — in
-//     particular a live recording and sim.Simulate under the same
-//     configuration — share a fingerprint, which is what lets
-//     bounds.NetworkEngine.NewRunAt address frozen standing prefixes by run
-//     content across seeds and policies.
-//   - (*View).Fingerprint is maintained incrementally as the view records
-//     deliveries and externals: every recorded event folds into the hash at
-//     O(1) cost. Two views evolved through identical record sequences (the
-//     lockstep replays of internal/live and internal/bench produce exactly
-//     those) share fingerprints at every prefix of their evolution.
+// Event fingerprints: 64-bit FNV-1a hashes over event logs, seeded with the
+// network's content fingerprint. (*Run).Fingerprint hashes the
+// arrival-ordered delivery log and the external log of a finished
+// recording. Two byte-identical runs — in particular a live recording and
+// sim.Simulate under the same configuration — share a fingerprint, which is
+// what lets bounds.NetworkEngine.NewRunAt address frozen standing prefixes
+// by run content across seeds and policies.
 //
 // Fingerprints are in-memory cache keys, not cryptographic digests: a 64-bit
 // collision would alias two distinct prefixes. The consumers accept that
@@ -91,11 +83,3 @@ func fpFinish(h uint64) uint64 {
 // live execution and sim.Simulate of the same configuration — agree on it.
 // It is never zero.
 func (r *Run) Fingerprint() uint64 { return r.fingerprint }
-
-// Fingerprint returns the view's rolling event-prefix hash: the network
-// fingerprint, the origin process, and every delivery and external input in
-// the order this view recorded them. It grows in O(1) per recorded event and
-// only ever changes when the underlying logs do, so equal fingerprints over
-// a common network identify equal record sequences — the identity
-// incremental consumers use to recognize a shared prefix. It is never zero.
-func (v *View) Fingerprint() uint64 { return fpFinish(v.fp) }

@@ -2,6 +2,7 @@ package run_test
 
 import (
 	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"github.com/clockless/zigzag/internal/model"
@@ -71,12 +72,20 @@ func (st *fuzzState) step(op, arg byte) (string, error) {
 	}
 }
 
-// digest summarizes the observable state of every view.
+// digest summarizes the observable state of every view: origin, size and a
+// hash of its deliveries, leaving messages and every member's externals.
 func (st *fuzzState) digest() string {
 	out := ""
 	for i, v := range st.views {
-		out += fmt.Sprintf("view%d origin=%v size=%d deliveries=%d fp=%#x;",
-			i, v.Origin(), v.Size(), v.DeliveryCount(), v.Fingerprint())
+		h := fnv.New64a()
+		fmt.Fprint(h, v.Deliveries(), v.Leaving())
+		for _, p := range v.Net().Procs() {
+			b, ok := v.Boundary(p)
+			for k := 0; ok && k <= b.Index; k++ {
+				fmt.Fprint(h, p, k, v.ExternalsAt(run.BasicNode{Proc: p, Index: k}))
+			}
+		}
+		out += fmt.Sprintf("view%d origin=%v size=%d content=%#x;", i, v.Origin(), v.Size(), h.Sum64())
 	}
 	return out
 }

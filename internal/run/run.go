@@ -3,7 +3,9 @@ package run
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"github.com/clockless/zigzag/internal/model"
 )
@@ -107,6 +109,11 @@ type Run struct {
 
 	// fingerprint is the content hash of the recording (see Fingerprint).
 	fingerprint uint64
+
+	// tl is the time-free timeline table ViewOf slices views from, built
+	// once on first use (see timelines).
+	tlOnce sync.Once
+	tl     [][]batch
 }
 
 // flat returns the node's index into flat per-node tables; the caller must
@@ -209,6 +216,35 @@ func (r *Run) Inbox(b BasicNode) []Delivery {
 	ds := make([]Delivery, sp.hi-sp.lo)
 	copy(ds, r.deliveries[sp.lo:sp.hi])
 	return ds
+}
+
+// timelines returns the run's time-free timeline table: tl[p-1][k] is p#k's
+// receive batch, its arrivals in arrival order and its distinct external
+// labels in recorded order. Every view of the run slices it, so it is built
+// once, on first use.
+func (r *Run) timelines() [][]batch {
+	r.tlOnce.Do(func() {
+		ds := make([]Arrival, len(r.deliveries))
+		for i, d := range r.deliveries {
+			ds[i] = Arrival{From: d.From, Chan: d.Chan}
+		}
+		r.tl = make([][]batch, len(r.times))
+		for i, ts := range r.times {
+			seg := make([]batch, len(ts))
+			for k := range seg {
+				node := BasicNode{Proc: model.ProcID(i + 1), Index: k}
+				sp := r.inbox[r.flat(node)]
+				seg[k].in = ds[sp.lo:sp.hi:sp.hi]
+				for _, idx := range r.extIn[node] {
+					if l := r.externals[idx].Label; !slices.Contains(seg[k].ext, l) {
+						seg[k].ext = append(seg[k].ext, l)
+					}
+				}
+			}
+			r.tl[i] = seg
+		}
+	})
+	return r.tl
 }
 
 // ExternalsAt returns the external inputs absorbed by the batch that

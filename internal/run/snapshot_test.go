@@ -1,6 +1,7 @@
 package run
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/clockless/zigzag/internal/model"
@@ -31,18 +32,92 @@ func TestSnapshotIsImmutable(t *testing.T) {
 	if snap.Contains(BasicNode{Proc: 1, Index: 2}) {
 		t.Error("snapshot sees membership growth after freeze")
 	}
-	if len(snap.log) != 0 || len(snap.extLog) != 1 {
-		t.Errorf("snapshot logs grew: %d deliveries, %d externals", len(snap.log), len(snap.extLog))
+	if len(snap.tl[0]) != 2 || len(snap.tl[1]) != 0 || len(snap.tl[2]) != 0 {
+		t.Errorf("snapshot timelines grew: %v", snap.tl)
 	}
 	if snap.Origin() != n1 {
 		t.Errorf("snapshot origin = %s, want %s", snap.Origin(), n1)
 	}
 }
 
-// TestViewDeltaAPI: DeliveryCount watermarks plus DeliveriesSince partition
-// the delivery log exactly — the contract bounds.Online relies on to pay
-// only for growth.
-func TestViewDeltaAPI(t *testing.T) {
+// content is everything a view answers about what it holds.
+type content struct {
+	origin     BasicNode
+	past       []int
+	deliveries []Delivery
+	leaving    []Pending
+	externals  [][]string
+}
+
+func contentOf(v *View) content {
+	c := content{origin: v.Origin(), past: v.PastSet().members, deliveries: v.Deliveries(), leaving: v.Leaving()}
+	for i, seg := range v.tl {
+		for k := range seg {
+			c.externals = append(c.externals, v.ExternalsAt(BasicNode{Proc: model.ProcID(i + 1), Index: k}))
+		}
+	}
+	return c
+}
+
+func (c content) equal(d content) bool {
+	return c.origin == d.origin && slices.Equal(c.past, d.past) &&
+		slices.Equal(c.deliveries, d.deliveries) && slices.Equal(c.leaving, d.leaving) &&
+		slices.EqualFunc(c.externals, d.externals, slices.Equal)
+}
+
+// TestHeldSnapshotKeepsContent: a snapshot shares its timelines with the
+// view it froze and with every view that merged it. Both keep absorbing
+// past it — the owner appending to the very arrays the snapshot slices —
+// and a view merging the held snapshot afterwards still learns exactly what
+// it held when frozen.
+func TestHeldSnapshotKeepsContent(t *testing.T) {
+	net := model.MustComplete(3, 1, 3)
+	v1, v2 := NewLocalView(net, 1), NewLocalView(net, 2)
+	n1, err := v1.Absorb(nil, []string{"go"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n2, err := v2.Absorb([]Receipt{{From: n1, Payload: v1.Snapshot()}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n1, err = v1.Absorb([]Receipt{{From: n2, Payload: v2.Snapshot()}}, []string{"more"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := v1.Snapshot()
+	early := NewLocalView(net, 3)
+	if _, err := early.Absorb([]Receipt{{From: n1, Payload: held}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := contentOf(early)
+
+	// The owner and a view that merged the snapshot both grow past it.
+	if _, err := v2.Absorb([]Receipt{{From: n1, Payload: held}}, []string{"x"}); err != nil {
+		t.Fatal(err)
+	}
+	n2, err = v2.Absorb(nil, []string{"y"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if n1, err = v1.Absorb([]Receipt{{From: n2, Payload: v2.Snapshot()}}, []string{"z"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	late := NewLocalView(net, 3)
+	if _, err := late.Absorb([]Receipt{{From: held.Origin(), Payload: held}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := contentOf(late); !got.equal(want) {
+		t.Fatalf("held snapshot changed:\n %+v\n %+v", got, want)
+	}
+}
+
+// TestViewInbox: the inboxes of a view's members partition its deliveries,
+// each holding the arrivals into its own node with the channel resolved.
+func TestViewInbox(t *testing.T) {
 	net := model.MustComplete(3, 1, 2)
 	sender1 := NewLocalView(net, 1)
 	s1, err := sender1.Absorb(nil, []string{"go"})
@@ -50,52 +125,59 @@ func TestViewDeltaAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := NewLocalView(net, 3)
-	if v.DeliveryCount() != 0 {
-		t.Fatalf("fresh view has %d deliveries", v.DeliveryCount())
+	if got := v.Inbox(BasicNode{Proc: 3}); len(got) != 0 {
+		t.Fatalf("initial node has inbox %v", got)
 	}
-	if _, err := v.Absorb([]Receipt{{From: s1, Payload: sender1.Snapshot()}}, nil); err != nil {
+	first, err := v.Absorb([]Receipt{{From: s1, Payload: sender1.Snapshot()}}, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	mark := v.DeliveryCount()
-	if mark != 1 {
-		t.Fatalf("after one receipt: %d deliveries", mark)
+	in := v.Inbox(first)
+	if len(in) != 1 || in[0].From != s1 || in[0].Chan != net.ChanIDOf(1, 3) {
+		t.Errorf("first inbox = %+v", in)
 	}
-	d := v.DeliveriesSince(0)[0]
-	if d.From != s1 || d.To.Proc != 3 || d.Chan == model.NoChan {
-		t.Errorf("first delivery = %+v", d)
-	}
-	// A second batch relayed through process 2 adds its deliveries after
-	// the watermark; nothing before the watermark changes.
+	// A second batch relayed through process 2 adds process 2's node and
+	// the relay's delivery; the first inbox is unchanged.
 	sender2 := NewLocalView(net, 2)
 	s2, err := sender2.Absorb([]Receipt{{From: s1, Payload: sender1.Snapshot()}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.Absorb([]Receipt{{From: s2, Payload: sender2.Snapshot()}}, nil); err != nil {
+	second, err := v.Absorb([]Receipt{{From: s2, Payload: sender2.Snapshot()}}, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	delta := v.DeliveriesSince(mark)
-	if len(delta) == 0 {
-		t.Fatal("no delta after second batch")
+	if !slices.Equal(v.Inbox(first), in) {
+		t.Errorf("first inbox changed to %v", v.Inbox(first))
 	}
-	for _, d := range delta {
-		if d.From == s1 && d.To.Proc == 3 {
-			t.Errorf("delta re-reports pre-watermark delivery %v", d)
+	var all []Delivery
+	for _, p := range net.Procs() {
+		b, ok := v.Boundary(p)
+		for k := 0; ok && k <= b.Index; k++ {
+			node := BasicNode{Proc: p, Index: k}
+			for _, a := range v.Inbox(node) {
+				all = append(all, Delivery{From: a.From, To: node, Chan: a.Chan})
+			}
 		}
 	}
-	if got := v.DeliveriesSince(0); len(got) != v.DeliveryCount() {
-		t.Errorf("full log %d vs count %d", len(got), v.DeliveryCount())
+	if got := v.Inbox(BasicNode{Proc: 3, Index: second.Index + 1}); got != nil {
+		t.Errorf("Inbox of a non-member = %v", got)
 	}
-	// The sorted Deliveries view agrees with the log contents.
-	if len(v.Deliveries()) != v.DeliveryCount() {
-		t.Errorf("Deliveries() %d vs count %d", len(v.Deliveries()), v.DeliveryCount())
+	want := v.Deliveries()
+	if len(all) != len(want) || len(want) != 3 {
+		t.Fatalf("inboxes hold %d deliveries, Deliveries %d, want 3", len(all), len(want))
+	}
+	for _, d := range want {
+		if !slices.Contains(all, d) {
+			t.Errorf("delivery %v in no inbox", d)
+		}
 	}
 }
 
-// TestMergeWatermarkSkipsPrefixes: merging successive snapshots of one
-// source only scans each suffix, yet out-of-order (non-FIFO) older
-// snapshots still merge correctly and never regress the watermark.
-func TestMergeWatermarkSkipsPrefixes(t *testing.T) {
+// TestMergeKeepsLongerPrefix: merging takes the longer prefix of each
+// timeline, so an out-of-order (non-FIFO) older snapshot merged after a
+// newer one adds nothing, and everything the newer one carried stays.
+func TestMergeKeepsLongerPrefix(t *testing.T) {
 	net := model.MustComplete(3, 1, 4)
 	sender := NewLocalView(net, 1)
 	s1, err := sender.Absorb(nil, []string{"go"})
@@ -120,15 +202,15 @@ func TestMergeWatermarkSkipsPrefixes(t *testing.T) {
 		t.Fatal(err)
 	}
 	sizeAfterLate := v.Size()
-	logAfterLate := v.DeliveryCount()
+	deliveriesAfterLate := len(v.Deliveries())
 	if _, err := v.Absorb([]Receipt{{From: s1, Payload: early}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if v.Size() != sizeAfterLate+1 { // +1: v's own new state only
 		t.Errorf("old snapshot changed membership: %d -> %d", sizeAfterLate, v.Size())
 	}
-	if v.DeliveryCount() != logAfterLate+1 { // +1: the s1 -> v receipt itself
-		t.Errorf("old snapshot re-recorded deliveries: %d -> %d", logAfterLate, v.DeliveryCount())
+	if got := len(v.Deliveries()); got != deliveriesAfterLate+1 { // +1: the s1 -> v receipt itself
+		t.Errorf("old snapshot re-recorded deliveries: %d -> %d", deliveriesAfterLate, got)
 	}
 	// And everything the late snapshot carried is present.
 	if _, ok := v.DeliveryTo(s1, 2); !ok {

@@ -4,16 +4,9 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
-	"sync/atomic"
 
 	"github.com/clockless/zigzag/internal/model"
 )
-
-// viewIDs hands out a unique identity per View instance; snapshots carry
-// their source view's id so receivers can watermark how much of that
-// source's append-only logs they have already merged.
-var viewIDs atomic.Uint64
 
 // View is the subjective information content of a node's local state under
 // an FFIP: the structure of its causal past — which nodes exist, which
@@ -25,62 +18,71 @@ var viewIDs atomic.Uint64
 //
 // Views come from two places: ViewOf extracts one from a recorded run
 // (offline analysis), and the live engine of internal/live accumulates one
-// message by message inside each process goroutine (online decisions).
+// message by message inside each process (online decisions).
 //
-// A view only ever grows, and it records that growth in append-only logs:
-// DeliveryCount/DeliveriesSince expose the delivery log as a cheap delta
-// API (the incremental knowledge engine bounds.Online consumes it), and
-// Snapshot freezes the logs into an immutable, shareable payload for
-// outgoing FFIP messages without deep-copying the history.
+// A causal past is a prefix of every process's timeline, so a view is a
+// frontier over per-process timelines that views share by reference:
+// tl[p-1][k] is p#k's receive batch, only process p's own view appends to
+// tl[p-1], and an entry never changes once appended. Merging a payload takes
+// the longer prefix per process — O(n), nothing per delivery — and Snapshot
+// freezes the n prefix headers.
 type View struct {
 	net    *model.Network
 	origin BasicNode
-	// id is this view's unique identity (see viewIDs).
-	id uint64
-	// members[p-1] is the boundary index of process p (-1 if absent).
-	members []int
+	// tl[p-1] is the prefix of process p's timeline inside the view (empty if
+	// p has not entered it): membership is len(tl[p-1])-1.
+	tl [][]batch
+
+	// The delivery index below is derived from tl and built lazily: a query
+	// catches it up from the per-process watermarks, so views that only
+	// relay payloads never build it. While the owner keeps querying — an
+	// agent deciding at every state — Absorb keeps it current, at receipt
+	// rather than inside the next decision. The owner's own deliveries are
+	// indexed at once either way, which is how Absorb drops a re-delivered
+	// message.
+	//
+	// marks[p-1] counts the entries of tl[p-1] already indexed; stale is set
+	// when a merge moves some prefix past its mark; queried is set by a
+	// query and cleared by the next Absorb.
+	marks   []int
+	stale   bool
+	queried bool
 	// recv is the dense DeliveryTo index over the network's CSR out-arcs:
 	// recv[p-1][k*deg(p)+slot] is the receiver index + 1 of the message
 	// node p#k sent on its slot-th out-arc (0 = not delivered inside the
-	// view). Rows grow with the sender timelines the view records.
+	// view). Rows grow with the deliveries indexed.
 	recv [][]int32
 	// unmodeled records deliveries over channels the network does not
 	// model. Every real run leaves it empty; it keeps such deliveries
 	// visible so the knowledge engines can reject them with
 	// model.ErrNoChannel.
 	unmodeled []Delivery
-	// externals[node] lists external-input labels absorbed at that node.
-	externals map[BasicNode][]string
+	// indexed counts the deliveries in the index.
+	indexed int
 	// extEarliest indexes, per (process, label), the earliest non-initial
 	// node that absorbed the label — the FindExternal answer. Protocol
 	// agents call FindExternal at every state until the label appears, so
 	// without the index every state pays a rescan of the whole timeline.
 	// Lazily allocated: views without externals never pay for the map.
 	extEarliest map[extKey]BasicNode
-
-	// log is the append-only record of every distinct delivery, in
-	// first-recorded order, with the dense channel id resolved and the
-	// (structurally unknown) times zero.
-	log []Delivery
-	// extLog is the append-only record of every distinct (node, label)
-	// external input, mirroring externals.
-	extLog []External
-
-	// fp is the rolling event-prefix hash over the two logs in recording
-	// order (see Fingerprint), folded forward by recordDelivery and
-	// recordExternal.
-	fp uint64
-
-	// merged[id] records how much of source view id's logs this view has
-	// already merged. Successive snapshots of one view are prefix-extensions
-	// of each other (logs only append), so a receiver that keeps receiving
-	// from the same senders — the FFIP steady state — merges only each
-	// payload's suffix instead of rescanning the whole history.
-	merged map[uint64]logMarks
 }
 
-// logMarks is a per-source watermark into its delivery and external logs.
-type logMarks struct{ log, ext int }
+// batch is one entry of a timeline: the receive batch that created a node —
+// its arrivals in receipt order and its distinct external labels. Initial
+// nodes have empty batches.
+type batch struct {
+	in  []Arrival
+	ext []string
+}
+
+// Arrival is one delivery as a view stores it in the receiving node's
+// batch: the sending node and the channel travelled, with no times. It is
+// less than half the size of a Delivery, and a view holds one per delivery
+// in its causal past.
+type Arrival struct {
+	From BasicNode
+	Chan model.ChanID
+}
 
 // extKey identifies an external-input lookup: which process absorbed which
 // label.
@@ -89,53 +91,39 @@ type extKey struct {
 	label string
 }
 
-// ViewOf extracts the view of sigma from a recorded run.
+func newView(net *model.Network, origin BasicNode) *View {
+	n := net.N()
+	return &View{
+		net:    net,
+		origin: origin,
+		tl:     make([][]batch, n),
+		marks:  make([]int, n),
+		recv:   make([][]int32, n),
+	}
+}
+
+// ViewOf extracts the view of sigma from a recorded run. It slices the run's
+// time-free timeline table, built on the first call, so every later ViewOf
+// on the run costs O(n) until the view is queried.
 func ViewOf(r *Run, sigma BasicNode) (*View, error) {
 	ps, err := r.Past(sigma)
 	if err != nil {
 		return nil, err
 	}
-	v := &View{
-		net:       r.net,
-		origin:    sigma,
-		id:        viewIDs.Add(1),
-		members:   append([]int(nil), ps.members...),
-		recv:      make([][]int32, r.net.N()),
-		externals: make(map[BasicNode][]string),
-		fp:        fpMix(fpSeed(r.net), uint64(sigma.Proc)),
+	tab := r.timelines()
+	v := newView(r.net, sigma)
+	for i, k := range ps.members {
+		v.tl[i] = tab[i][: k+1 : k+1]
 	}
-	for i, k := range v.members {
-		v.recv[i] = make([]int32, (k+1)*len(r.net.OutArcs(model.ProcID(i+1))))
-	}
-	for _, d := range r.deliveries {
-		if !ps.Contains(d.To) {
-			continue
-		}
-		v.recordDelivery(d.From, d.To, d.Chan)
-	}
-	for _, e := range r.externals {
-		if ps.Contains(e.To) {
-			v.recordExternal(e.To, e.Label)
-		}
-	}
+	v.stale = true
 	return v, nil
 }
 
 // NewLocalView returns the view of process p's initial state.
 func NewLocalView(net *model.Network, p model.ProcID) *View {
-	v := &View{
-		net:       net,
-		origin:    BasicNode{Proc: p, Index: 0},
-		id:        viewIDs.Add(1),
-		members:   make([]int, net.N()),
-		recv:      make([][]int32, net.N()),
-		externals: make(map[BasicNode][]string),
-		fp:        fpMix(fpSeed(net), uint64(p)),
-	}
-	for i := range v.members {
-		v.members[i] = -1
-	}
-	v.members[p-1] = 0
+	v := newView(net, BasicNode{Proc: p, Index: 0})
+	v.tl[p-1] = []batch{{}}
+	v.marks[p-1] = 1
 	return v
 }
 
@@ -157,12 +145,12 @@ func (v *View) slot(from, to model.ProcID, ch model.ChanID) (s, deg int) {
 	return int(ch - arcs[0].ID), len(arcs)
 }
 
-// recordDelivery appends the delivery to the log unless the message from
-// sent to process to.Proc is already recorded.
-func (v *View) recordDelivery(from, to BasicNode, ch model.ChanID) {
+// record enters the delivery into the index and reports whether it is new:
+// false if the message from sent to process to.Proc is already indexed.
+func (v *View) record(from, to BasicNode, ch model.ChanID) bool {
 	if s, deg := v.slot(from.Proc, to.Proc, ch); s < 0 {
 		if _, ok := v.unmodeledTo(from, to.Proc); ok {
-			return
+			return false
 		}
 		v.unmodeled = append(v.unmodeled, Delivery{From: from, To: to, Chan: ch})
 	} else {
@@ -172,13 +160,12 @@ func (v *View) recordDelivery(from, to BasicNode, ch model.ChanID) {
 			row = growRow(row, (from.Index+1)*deg)
 			v.recv[from.Proc-1] = row
 		} else if row[i] != 0 {
-			return
+			return false
 		}
 		row[i] = int32(to.Index) + 1
 	}
-	d := Delivery{From: from, To: to, Chan: ch}
-	v.log = append(v.log, d)
-	v.fp = fpDelivery(v.fp, d)
+	v.indexed++
+	return true
 }
 
 // growRow extends a dense index row to n zero-filled entries, doubling its
@@ -195,29 +182,58 @@ func growRow(row []int32, n int) []int32 {
 	return grown
 }
 
+// recordExternal enters one external label of node into the FindExternal
+// index. Timelines are indexed in order, so the first node recorded per
+// (process, label) is the earliest. Initial nodes absorb no externals.
 func (v *View) recordExternal(node BasicNode, label string) {
-	for _, l := range v.externals[node] {
-		if l == label {
-			return
+	if node.Index < 1 {
+		return
+	}
+	if v.extEarliest == nil {
+		v.extEarliest = make(map[extKey]BasicNode)
+	}
+	key := extKey{proc: node.Proc, label: label}
+	if _, ok := v.extEarliest[key]; !ok {
+		v.extEarliest[key] = node
+	}
+}
+
+// index is catchUp for queries: it also marks the view queried.
+func (v *View) index() {
+	v.queried = true
+	v.catchUp()
+}
+
+// catchUp brings the delivery and external indexes up to the timelines.
+func (v *View) catchUp() {
+	if !v.stale {
+		return
+	}
+	// Every sender of an indexed delivery is a member, so the rows can be
+	// sized once, up front.
+	for i, seg := range v.tl {
+		if n := len(seg) * len(v.net.OutArcs(model.ProcID(i+1))); n > len(v.recv[i]) {
+			v.recv[i] = growRow(v.recv[i], n)
 		}
 	}
-	v.externals[node] = append(v.externals[node], label)
-	e := External{To: node, Label: label}
-	v.extLog = append(v.extLog, e)
-	v.fp = fpExternal(v.fp, e)
-	// Merge order is not timeline order, so the index keeps the smallest
-	// index per (process, label). Initial nodes absorb no externals by
-	// construction; the guard keeps the index aligned with FindExternal's
-	// k >= 1 scan even for hand-built views.
-	if node.Index >= 1 {
-		if v.extEarliest == nil {
-			v.extEarliest = make(map[extKey]BasicNode)
+	for i := range v.tl {
+		v.indexFrom(model.ProcID(i + 1))
+	}
+	v.stale = false
+}
+
+// indexFrom indexes the entries of p's timeline past p's mark.
+func (v *View) indexFrom(p model.ProcID) {
+	seg := v.tl[p-1]
+	for k := v.marks[p-1]; k < len(seg); k++ {
+		for _, a := range seg[k].in {
+			v.record(a.From, BasicNode{Proc: p, Index: k}, a.Chan)
 		}
-		key := extKey{proc: node.Proc, label: label}
-		if old, ok := v.extEarliest[key]; !ok || node.Index < old.Index {
-			v.extEarliest[key] = node
+		for _, l := range seg[k].ext {
+			v.recordExternal(BasicNode{Proc: p, Index: k}, l)
 		}
 	}
+	v.marks[p-1] = len(seg)
 }
 
 // Net returns the network the view lives in.
@@ -228,38 +244,54 @@ func (v *View) Origin() BasicNode { return v.origin }
 
 // Contains reports membership of a basic node in the view.
 func (v *View) Contains(b BasicNode) bool {
-	if b.Proc < 1 || int(b.Proc) > len(v.members) || b.Index < 0 {
+	if b.Proc < 1 || int(b.Proc) > len(v.tl) || b.Index < 0 {
 		return false
 	}
-	return b.Index <= v.members[b.Proc-1]
+	return b.Index < len(v.tl[b.Proc-1])
 }
 
 // Boundary returns the last node of process p inside the view.
 func (v *View) Boundary(p model.ProcID) (BasicNode, bool) {
-	if p < 1 || int(p) > len(v.members) || v.members[p-1] < 0 {
+	if p < 1 || int(p) > len(v.tl) || len(v.tl[p-1]) == 0 {
 		return BasicNode{}, false
 	}
-	return BasicNode{Proc: p, Index: v.members[p-1]}, true
+	return BasicNode{Proc: p, Index: len(v.tl[p-1]) - 1}, true
 }
 
 // PastSet converts the view's membership to a PastSet (for callers that
 // verify witnesses against recorded runs).
 func (v *View) PastSet() *PastSet {
-	return &PastSet{origin: v.origin, members: append([]int(nil), v.members...)}
+	members := make([]int, len(v.tl))
+	for i, seg := range v.tl {
+		members[i] = len(seg) - 1
+	}
+	return &PastSet{origin: v.origin, members: members}
 }
 
 // Size returns the number of nodes in the view.
 func (v *View) Size() int {
 	total := 0
-	for _, k := range v.members {
-		total += k + 1
+	for _, seg := range v.tl {
+		total += len(seg)
 	}
 	return total
+}
+
+// Inbox returns the arrivals absorbed by the batch that created view node b,
+// in receipt order, with the dense channel id resolved (nil if b is not in
+// the view). The result is shared with every view that holds b: callers
+// must not mutate it.
+func (v *View) Inbox(b BasicNode) []Arrival {
+	if !v.Contains(b) {
+		return nil
+	}
+	return v.tl[b.Proc-1][b.Index].in
 }
 
 // DeliveryTo returns the node that received the message sent at from to
 // process to, if that delivery is inside the view.
 func (v *View) DeliveryTo(from BasicNode, to model.ProcID) (BasicNode, bool) {
+	v.index()
 	s, deg := v.slot(from.Proc, to, model.NoChan)
 	if s < 0 || from.Index < 0 {
 		return v.unmodeledTo(from, to)
@@ -282,16 +314,12 @@ func (v *View) unmodeledTo(from BasicNode, to model.ProcID) (BasicNode, bool) {
 	return BasicNode{}, false
 }
 
-// DeliveryCount returns the number of distinct deliveries the view has
-// recorded. It only ever grows, so it serves as the watermark for
-// DeliveriesSince.
-func (v *View) DeliveryCount() int { return len(v.log) }
-
-// DeliveriesSince returns the deliveries recorded since the watermark (a
-// prior DeliveryCount), in recording order, with dense channel ids resolved
-// and zero times. The result is a sub-slice of the append-only log: callers
-// must not mutate it, and it stays valid as the view keeps growing.
-func (v *View) DeliveriesSince(mark int) []Delivery { return v.log[mark:] }
+// Unmodeled returns the view's deliveries over channels the network does not
+// model — empty for every real run. Callers must not mutate the result.
+func (v *View) Unmodeled() []Delivery {
+	v.index()
+	return v.unmodeled
+}
 
 // Deliveries returns the view's deliveries as (from, to) node pairs in
 // deterministic order (by sender node, then destination process), with the
@@ -299,7 +327,8 @@ func (v *View) DeliveriesSince(mark int) []Delivery { return v.log[mark:] }
 // and left zero. The dense index already holds them in that order, so only
 // deliveries over unmodeled channels need a sort.
 func (v *View) Deliveries() []Delivery {
-	out := make([]Delivery, 0, len(v.log))
+	v.index()
+	out := make([]Delivery, 0, v.indexed)
 	for i, row := range v.recv {
 		arcs := v.net.OutArcs(model.ProcID(i + 1))
 		for base := 0; base < len(row); base += len(arcs) {
@@ -334,11 +363,12 @@ func (v *View) Deliveries() []Delivery {
 // extended bounds graph, ordered by sender and destination (out-arcs are
 // sorted by destination). Send times are structural unknowns and left zero.
 func (v *View) Leaving() []Pending {
+	v.index()
 	var out []Pending
-	for i, k := range v.members {
+	for i, seg := range v.tl {
 		arcs := v.net.OutArcs(model.ProcID(i + 1))
 		row := v.recv[i]
-		for idx := 1; idx <= k; idx++ {
+		for idx := 1; idx < len(seg); idx++ {
 			from := BasicNode{Proc: model.ProcID(i + 1), Index: idx}
 			for s, a := range arcs {
 				if j := idx*len(arcs) + s; j < len(row) && row[j] != 0 {
@@ -375,50 +405,46 @@ func (v *View) ResolvePrefix(theta GeneralNode) (prefix []BasicNode, hops int) {
 	return prefix, hops
 }
 
-// ExternalsAt returns the external labels absorbed at a view node.
+// ExternalsAt returns the external labels absorbed at a view node, sorted.
 func (v *View) ExternalsAt(b BasicNode) []string {
-	out := append([]string(nil), v.externals[b]...)
-	sort.Strings(out)
+	if !v.Contains(b) {
+		return nil
+	}
+	out := slices.Clone(v.tl[b.Proc-1][b.Index].ext)
+	slices.Sort(out)
 	return out
 }
 
 // FindExternal locates the earliest node of process p that absorbed an
-// external input with the given label. The lookup is O(1) against an index
-// maintained on record, not a rescan of p's timeline: online agents
-// (live.Protocol2) call this at every new state until the label appears,
-// which used to cost a walk over every past node and its label slice per
-// state.
+// external input with the given label. The lookup is O(1) against the lazy
+// index, not a rescan of p's timeline: online agents (live.Protocol2) call
+// this at every new state until the label appears.
 func (v *View) FindExternal(p model.ProcID, label string) (BasicNode, bool) {
+	v.index()
 	n, ok := v.extEarliest[extKey{proc: p, label: label}]
 	return n, ok
 }
 
 // Snapshot is a view's content frozen at one instant: the payload of an
-// outgoing FFIP message (the sender's history at send time). It shares the
-// view's append-only log backing instead of deep-copying it — the view only
-// ever appends past the snapshot's length, so a Snapshot is immutable and
-// safe to read from other goroutines while the owning process keeps
-// absorbing. Taking one costs a copy of the n boundary indices, nothing
-// proportional to the history.
+// outgoing FFIP message (the sender's history at send time). It holds the
+// view's n timeline prefixes, sliced with cap = len: timelines only ever
+// append past a prefix, so a Snapshot is immutable and safe to read from
+// other goroutines while the owning process keeps absorbing. Taking one
+// costs a copy of the n prefix headers, nothing proportional to the
+// history.
 type Snapshot struct {
-	net     *model.Network
-	origin  BasicNode
-	source  uint64 // id of the view the snapshot froze
-	members []int
-	log     []Delivery
-	extLog  []External
+	net    *model.Network
+	origin BasicNode
+	tl     [][]batch
 }
 
 // Snapshot freezes the view's current content.
 func (v *View) Snapshot() *Snapshot {
-	return &Snapshot{
-		net:     v.net,
-		origin:  v.origin,
-		source:  v.id,
-		members: append([]int(nil), v.members...),
-		log:     v.log[:len(v.log):len(v.log)],
-		extLog:  v.extLog[:len(v.extLog):len(v.extLog)],
+	tl := make([][]batch, len(v.tl))
+	for i, seg := range v.tl {
+		tl[i] = seg[:len(seg):len(seg)]
 	}
+	return &Snapshot{net: v.net, origin: v.origin, tl: tl}
 }
 
 // Origin returns the node whose local state the snapshot captured.
@@ -426,10 +452,10 @@ func (s *Snapshot) Origin() BasicNode { return s.origin }
 
 // Contains reports membership of a basic node in the snapshot.
 func (s *Snapshot) Contains(b BasicNode) bool {
-	if b.Proc < 1 || int(b.Proc) > len(s.members) || b.Index < 0 {
+	if b.Proc < 1 || int(b.Proc) > len(s.tl) || b.Index < 0 {
 		return false
 	}
-	return b.Index <= s.members[b.Proc-1]
+	return b.Index < len(s.tl[b.Proc-1])
 }
 
 // Receipt describes one incoming FFIP message for Absorb: the sender's node
@@ -440,31 +466,54 @@ type Receipt struct {
 }
 
 // Absorb advances the view by one receive batch: the owning process moves
-// to its next local state, merges every sender's payload snapshot, records
-// the batch's deliveries and external inputs, and returns the new node. It
-// implements the FFIP state transition on the receiving side. The whole
-// batch is validated first, so a rejected batch leaves the view unchanged.
+// to its next local state, merges every sender's payload snapshot, appends
+// the batch's deliveries and external inputs to its own timeline, and
+// returns the new node. It implements the FFIP state transition on the
+// receiving side. The whole batch is validated first, so a rejected batch
+// leaves the view unchanged. A message delivered twice — within the batch
+// or to an earlier node — keeps its first delivery.
 func (v *View) Absorb(receipts []Receipt, externalLabels []string) (BasicNode, error) {
 	p := v.origin.Proc
-	next := BasicNode{Proc: p, Index: v.members[p-1] + 1}
+	next := BasicNode{Proc: p, Index: len(v.tl[p-1])}
 	for i, rc := range receipts {
-		if rc.Payload != nil && len(rc.Payload.members) != len(v.members) {
-			return BasicNode{}, fmt.Errorf("run: merging views over different networks")
+		if rc.Payload != nil {
+			if len(rc.Payload.tl) != len(v.tl) {
+				return BasicNode{}, fmt.Errorf("run: merging views over different networks")
+			}
+			if len(rc.Payload.tl[p-1]) > next.Index {
+				return BasicNode{}, fmt.Errorf("run: payload of receipt from %s holds states of p%d beyond %s", rc.From, p, v.origin)
+			}
 		}
 		if !v.covers(next, receipts[:i+1], rc.From) {
 			return BasicNode{}, fmt.Errorf("run: receipt from %s not covered by its own payload", rc.From)
 		}
 	}
-	v.members[p-1] = next.Index
-	v.origin = next
 	for _, rc := range receipts {
 		if rc.Payload != nil {
 			v.merge(rc.Payload)
 		}
-		v.recordDelivery(rc.From, next, v.net.ChanIDOf(rc.From.Proc, p))
 	}
+	v.indexFrom(p)
+	in := make([]Arrival, 0, len(receipts))
+	for _, rc := range receipts {
+		ch := v.net.ChanIDOf(rc.From.Proc, p)
+		if v.record(rc.From, next, ch) {
+			in = append(in, Arrival{From: rc.From, Chan: ch})
+		}
+	}
+	var ext []string
 	for _, l := range externalLabels {
-		v.recordExternal(next, l)
+		if !slices.Contains(ext, l) {
+			ext = append(ext, l)
+			v.recordExternal(next, l)
+		}
+	}
+	v.tl[p-1] = append(v.tl[p-1], batch{in: in, ext: ext})
+	v.marks[p-1] = len(v.tl[p-1])
+	v.origin = next
+	if v.queried {
+		v.queried = false
+		v.catchUp()
 	}
 	return next, nil
 }
@@ -473,95 +522,43 @@ func (v *View) Absorb(receipts []Receipt, externalLabels []string) (BasicNode, e
 // and the payloads of batch — the membership b would have once Absorb has
 // merged those payloads.
 func (v *View) covers(next BasicNode, batch []Receipt, b BasicNode) bool {
-	if b.Proc < 1 || int(b.Proc) > len(v.members) || b.Index < 0 {
+	if b.Proc < 1 || int(b.Proc) > len(v.tl) || b.Index < 0 {
 		return false
 	}
-	k := v.members[b.Proc-1]
+	k := len(v.tl[b.Proc-1])
 	if b.Proc == next.Proc {
-		k = next.Index
+		k = next.Index + 1
 	}
 	for _, rc := range batch {
-		if rc.Payload != nil && rc.Payload.members[b.Proc-1] > k {
-			k = rc.Payload.members[b.Proc-1]
+		if rc.Payload != nil {
+			k = max(k, len(rc.Payload.tl[b.Proc-1]))
 		}
 	}
-	return b.Index <= k
+	return b.Index < k
 }
 
-// merge unions a payload snapshot over the same network into this view.
-// Everything below the watermark recorded for the snapshot's source view was
-// merged from an earlier (prefix) snapshot already, so only the suffix is
-// scanned.
-//
-// Views are downward-closed: every full-information payload carries the
-// sender's whole causal past, so a view holds every delivery into each of
-// its nodes. A payload delivery into a node that was already a member
-// before this merge is therefore already recorded, and the frontier check
-// skips it without consulting the delivery index.
+// merge unions a payload snapshot over the same network into this view by
+// taking the longer prefix of each timeline. Every timeline has one writer,
+// so two prefixes of one process agree where they overlap, and a view holds
+// every delivery into each of its nodes: nothing is scanned per delivery.
 func (v *View) merge(s *Snapshot) {
-	if v.merged == nil {
-		v.merged = make(map[uint64]logMarks)
-	}
-	mk := v.merged[s.source]
-	for i := mk.log; i < len(s.log); i++ {
-		d := &s.log[i]
-		if d.To.Index <= v.members[d.To.Proc-1] {
-			continue
-		}
-		v.recordDelivery(d.From, d.To, d.Chan)
-	}
-	for i := mk.ext; i < len(s.extLog); i++ {
-		v.recordExternal(s.extLog[i].To, s.extLog[i].Label)
-	}
-	for i, k := range s.members {
-		if k > v.members[i] {
-			v.members[i] = k
+	for i, seg := range s.tl {
+		if len(seg) > len(v.tl[i]) {
+			v.tl[i] = seg
+			v.stale = true
 		}
 	}
-	// Channels need not be FIFO: a snapshot older than one already merged
-	// can arrive later, so the watermark only ever advances.
-	if len(s.log) > mk.log {
-		mk.log = len(s.log)
-	}
-	if len(s.extLog) > mk.ext {
-		mk.ext = len(s.extLog)
-	}
-	v.merged[s.source] = mk
 }
 
-// Clone returns a deep copy with its own logs and indexes, for callers that
-// need an independently growable view (message payloads use the far cheaper
-// Snapshot instead).
+// Clone returns an independently growable copy. Timeline entries are
+// immutable and shared; the copy's prefixes are capped so its appends never
+// write into the original's arrays, and it rebuilds its own index on first
+// use (message payloads use the far cheaper Snapshot instead).
 func (v *View) Clone() *View {
-	c := &View{
-		net:       v.net,
-		origin:    v.origin,
-		id:        viewIDs.Add(1),
-		members:   append([]int(nil), v.members...),
-		recv:      make([][]int32, len(v.recv)),
-		unmodeled: append([]Delivery(nil), v.unmodeled...),
-		externals: make(map[BasicNode][]string, len(v.externals)),
-		log:       append([]Delivery(nil), v.log...),
-		extLog:    append([]External(nil), v.extLog...),
-		fp:        v.fp,
+	c := newView(v.net, v.origin)
+	for i, seg := range v.tl {
+		c.tl[i] = seg[:len(seg):len(seg)]
 	}
-	for i, row := range v.recv {
-		c.recv[i] = append([]int32(nil), row...)
-	}
-	for node, labels := range v.externals {
-		c.externals[node] = append([]string(nil), labels...)
-	}
-	if len(v.extEarliest) > 0 {
-		c.extEarliest = make(map[extKey]BasicNode, len(v.extEarliest))
-		for key, node := range v.extEarliest {
-			c.extEarliest[key] = node
-		}
-	}
-	if len(v.merged) > 0 {
-		c.merged = make(map[uint64]logMarks, len(v.merged))
-		for id, mk := range v.merged {
-			c.merged[id] = mk
-		}
-	}
+	c.stale = true
 	return c
 }

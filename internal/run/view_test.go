@@ -1,6 +1,7 @@
 package run
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -94,40 +95,54 @@ func TestViewExternals(t *testing.T) {
 	}
 }
 
-// TestFindExternalIndexKeepsEarliest pins the indexed FindExternal against
-// its old linear-scan semantics: the answer is the earliest node of the
-// process carrying the label, even when merge order records a later
-// occurrence first, and clones keep an independent index.
+// TestFindExternalIndexKeepsEarliest pins the lazily indexed FindExternal
+// against its linear-scan semantics: the answer is the earliest node of the
+// process carrying the label, however many later nodes carry it too and in
+// however many steps the view learned them, and a clone keeps an
+// independent index.
 func TestFindExternalIndexKeepsEarliest(t *testing.T) {
 	net := model.MustComplete(2, 1, 2)
-	v := NewLocalView(net, 1)
-	v.members[0] = 3
-	v.recordExternal(BasicNode{Proc: 1, Index: 3}, "go")
-	if n, ok := v.FindExternal(1, "go"); !ok || n.Index != 3 {
+	sender := NewLocalView(net, 1)
+	v := NewLocalView(net, 2)
+	absorb := func(w *View, labels ...string) BasicNode {
+		t.Helper()
+		n, err := w.Absorb(nil, labels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	receive := func(from BasicNode, labels ...string) {
+		t.Helper()
+		if _, err := v.Absorb([]Receipt{{From: from, Payload: sender.Snapshot()}}, labels); err != nil {
+			t.Fatal(err)
+		}
+	}
+	receive(absorb(sender, "tick"))
+	if _, ok := v.FindExternal(1, "go"); ok {
+		t.Fatal("label found before it was absorbed")
+	}
+	c := v.Clone()
+	absorb(sender, "go", "go") // p1#2; the duplicate label is one input
+	receive(absorb(sender, "go"), "go")
+	if n, ok := v.FindExternal(1, "go"); !ok || n != (BasicNode{Proc: 1, Index: 2}) {
 		t.Fatalf("FindExternal = %v, %v", n, ok)
 	}
-	// A merge later surfaces an earlier occurrence of the same label.
-	v.recordExternal(BasicNode{Proc: 1, Index: 2}, "go")
-	if n, ok := v.FindExternal(1, "go"); !ok || n.Index != 2 {
-		t.Fatalf("after earlier record: FindExternal = %v, %v", n, ok)
+	if got := v.ExternalsAt(BasicNode{Proc: 1, Index: 2}); !slices.Equal(got, []string{"go"}) {
+		t.Fatalf("ExternalsAt(p1#2) = %v", got)
 	}
-	// Later occurrences never displace the earliest.
-	v.recordExternal(BasicNode{Proc: 1, Index: 3}, "go") // duplicate: ignored
-	v.members[1] = 1
-	v.recordExternal(BasicNode{Proc: 2, Index: 1}, "go") // other process
-	if n, _ := v.FindExternal(1, "go"); n.Index != 2 {
-		t.Fatalf("earliest displaced: %v", n)
+	if n, ok := v.FindExternal(2, "go"); !ok || n != (BasicNode{Proc: 2, Index: 2}) {
+		t.Fatalf("own FindExternal = %v, %v", n, ok)
 	}
 	if _, ok := v.FindExternal(2, "halt"); ok {
 		t.Fatal("phantom label found")
 	}
-	c := v.Clone()
-	v.recordExternal(BasicNode{Proc: 1, Index: 1}, "go")
-	if n, _ := c.FindExternal(1, "go"); n.Index != 2 {
-		t.Fatalf("clone index aliases the original: %v", n)
+	if _, ok := c.FindExternal(1, "go"); ok {
+		t.Fatal("clone index aliases the original")
 	}
-	if n, _ := v.FindExternal(1, "go"); n.Index != 1 {
-		t.Fatalf("original index stale: %v", n)
+	receive(absorb(sender, "go"))
+	if n, _ := v.FindExternal(1, "go"); n.Index != 2 {
+		t.Fatalf("earliest displaced: %v", n)
 	}
 }
 
@@ -227,21 +242,9 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-// viewState is the observable state a rejected Absorb must leave alone.
-type viewState struct {
-	origin     BasicNode
-	size, dels int
-	fp         uint64
-}
-
-func stateOf(v *View) viewState {
-	return viewState{v.Origin(), v.Size(), v.DeliveryCount(), v.Fingerprint()}
-}
-
 // TestRejectedAbsorbLeavesViewUnchanged: Absorb validates the whole batch
 // before it changes anything, so every rejected batch — including one
-// whose first receipts are valid — leaves the origin, membership, log and
-// fingerprint untouched, and the view keeps evolving exactly like a twin
+// whose first receipts are valid — leaves the view's content untouched, and the view keeps evolving exactly like a twin
 // that never saw the rejected batch.
 func TestRejectedAbsorbLeavesViewUnchanged(t *testing.T) {
 	net := model.MustComplete(2, 1, 2)
@@ -253,6 +256,15 @@ func TestRejectedAbsorbLeavesViewUnchanged(t *testing.T) {
 	}
 	honest := sender.Snapshot()
 	forged := BasicNode{Proc: 1, Index: 50}
+	// A payload that knows p2#1 and p2#2, more than p2 has lived through
+	// when the receiving view below is at p2#1.
+	ahead := NewLocalView(net, 2)
+	for i := 0; i < 2; i++ {
+		if _, err := ahead.Absorb(nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	future := ahead.Snapshot()
 	cases := []struct {
 		name  string
 		batch []Receipt
@@ -265,6 +277,8 @@ func TestRejectedAbsorbLeavesViewUnchanged(t *testing.T) {
 		{"valid receipt then uncovered", []Receipt{{From: n1, Payload: honest}, {From: forged, Payload: honest}}, "not covered"},
 		{"valid receipt then cross-network", []Receipt{{From: n1, Payload: honest},
 			{From: n1, Payload: NewLocalView(other, 2).Snapshot()}}, "different networks"},
+		{"payload ahead of the receiver", []Receipt{{From: n1, Payload: honest},
+			{From: n1, Payload: future}}, "beyond"},
 	}
 	for _, tc := range cases {
 		v, twin := NewLocalView(net, 2), NewLocalView(net, 2)
@@ -273,11 +287,11 @@ func TestRejectedAbsorbLeavesViewUnchanged(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		before := stateOf(v)
+		before := contentOf(v)
 		if _, err := v.Absorb(tc.batch, []string{"x"}); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: err = %v, want %q", tc.name, err, tc.want)
 		}
-		if after := stateOf(v); after != before {
+		if after := contentOf(v); !after.equal(before) {
 			t.Fatalf("%s: rejected Absorb changed the view: %+v -> %+v", tc.name, before, after)
 		}
 		for _, w := range []*View{v, twin} {
@@ -285,16 +299,17 @@ func TestRejectedAbsorbLeavesViewUnchanged(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if stateOf(v) != stateOf(twin) {
+		if !contentOf(v).equal(contentOf(twin)) {
 			t.Fatalf("%s: view diverged from its twin after the rejection: %+v vs %+v",
-				tc.name, stateOf(v), stateOf(twin))
+				tc.name, contentOf(v), contentOf(twin))
 		}
 	}
 }
 
 // TestAbsorbDedupsBatchDuplicates: the same sender node twice in one batch
-// is one message, logged once — the dense index catches duplicates the
-// frontier check cannot (the receiving node is new).
+// is one message, stored once — the index of the view's own deliveries
+// catches it, and a message delivered again in a later batch keeps its
+// first delivery.
 func TestAbsorbDedupsBatchDuplicates(t *testing.T) {
 	net := model.MustComplete(2, 1, 2)
 	sender := NewLocalView(net, 1)
@@ -310,11 +325,21 @@ func TestAbsorbDedupsBatchDuplicates(t *testing.T) {
 	if _, err := twin.Absorb([]Receipt{rc}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if v.DeliveryCount() != 1 {
-		t.Fatalf("duplicate receipt logged %d deliveries, want 1", v.DeliveryCount())
+	if got := v.Inbox(v.Origin()); len(got) != 1 {
+		t.Fatalf("duplicate receipt stored %d deliveries, want 1", len(got))
 	}
-	if v.Fingerprint() != twin.Fingerprint() {
-		t.Fatal("duplicate receipt moved the fingerprint")
+	if !contentOf(v).equal(contentOf(twin)) {
+		t.Fatal("duplicate receipt changed the content")
+	}
+	again, err := v.Absorb([]Receipt{rc}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := v.Inbox(again); len(got) != 0 {
+		t.Fatalf("re-delivered message stored again: %v", got)
+	}
+	if got, ok := v.DeliveryTo(n1, 2); !ok || got != (BasicNode{Proc: 2, Index: 1}) {
+		t.Fatalf("DeliveryTo(n1, 2) = %s, %v; want the first delivery", got, ok)
 	}
 }
 
@@ -355,8 +380,8 @@ func TestOlderSnapshotAfterNewerAddsNothing(t *testing.T) {
 	if _, err := twin.Absorb([]Receipt{{From: s1}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if stateOf(v) != stateOf(twin) || len(v.extLog) != len(twin.extLog) {
-		t.Fatalf("older snapshot added content: %+v vs %+v", stateOf(v), stateOf(twin))
+	if !contentOf(v).equal(contentOf(twin)) {
+		t.Fatalf("older snapshot added content: %+v vs %+v", contentOf(v), contentOf(twin))
 	}
 
 	// Both snapshots in one batch, newer first.
@@ -367,15 +392,16 @@ func TestOlderSnapshotAfterNewerAddsNothing(t *testing.T) {
 	if _, err := bTwin.Absorb([]Receipt{{From: s2, Payload: late}, {From: s1}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if stateOf(b) != stateOf(bTwin) {
-		t.Fatalf("older snapshot in the same batch added content: %+v vs %+v", stateOf(b), stateOf(bTwin))
+	if !contentOf(b).equal(contentOf(bTwin)) {
+		t.Fatalf("older snapshot in the same batch added content: %+v vs %+v", contentOf(b), contentOf(bTwin))
 	}
 }
 
-// TestMergeBehindFrontierAllocatesNothing: merging a snapshot whose every
-// delivery is already in the view (here: the view's own content, through a
-// clone with no watermark for it) costs only the frontier checks — no
-// index probe, no allocation.
+// TestMergeBehindFrontierAllocatesNothing: merging a snapshot costs one
+// length comparison per process and allocates nothing — whether every
+// prefix it carries is already in the view (here: the view's own content,
+// through a clone) or it advances them (every node's snapshot merged into a
+// fresh view).
 func TestMergeBehindFrontierAllocatesNothing(t *testing.T) {
 	net := model.MustComplete(4, 1, 3)
 	r, err := buildRandomRun(net, 5)
@@ -388,25 +414,48 @@ func TestMergeBehindFrontierAllocatesNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if last == nil || w.DeliveryCount() > last.DeliveryCount() {
+		if last == nil || w.Size() > last.Size() {
 			last = w
 		}
 	}
-	if last.DeliveryCount() < 10 {
-		t.Fatalf("fixture too small: %d deliveries", last.DeliveryCount())
+	if n := len(last.Deliveries()); n < 10 {
+		t.Fatalf("fixture too small: %d deliveries", n)
 	}
 	s := last.Snapshot()
 	v := last.Clone()
-	before := stateOf(v)
-	allocs := testing.AllocsPerRun(50, func() {
-		delete(v.merged, s.source) // force a full rescan of s's log
-		v.merge(s)
-	})
-	if allocs != 0 {
+	before := contentOf(v)
+	if allocs := testing.AllocsPerRun(50, func() { v.merge(s) }); allocs != 0 {
 		t.Errorf("merge behind the frontier: %v allocs, want 0", allocs)
 	}
-	if stateOf(v) != before {
-		t.Errorf("merge behind the frontier changed the view: %+v -> %+v", before, stateOf(v))
+	if !contentOf(v).equal(before) {
+		t.Errorf("merge behind the frontier changed the view: %+v -> %+v", before, contentOf(v))
+	}
+
+	fresh := NewLocalView(net, 1)
+	start := slices.Clone(fresh.tl)
+	merged := 0
+	for _, p := range net.Procs() {
+		for k := 0; k <= r.LastIndex(p); k++ {
+			w, err := ViewOf(r, BasicNode{Proc: p, Index: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := w.Snapshot()
+			allocs := testing.AllocsPerRun(5, func() {
+				copy(fresh.tl, start)
+				fresh.merge(s)
+			})
+			if allocs != 0 {
+				t.Fatalf("merging the snapshot of %s: %v allocs, want 0", w.Origin(), allocs)
+			}
+			if fresh.Size() < w.Size() {
+				t.Fatalf("merging the snapshot of %s: size %d, want >= %d", w.Origin(), fresh.Size(), w.Size())
+			}
+			merged++
+		}
+	}
+	if merged < 10 {
+		t.Fatalf("fixture too small: %d snapshots", merged)
 	}
 }
 
