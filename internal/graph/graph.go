@@ -231,6 +231,46 @@ func (s *Scratch) Truncate(n int) {
 	}
 }
 
+// checkSeeds reports the first seed outside 0..n-1. Warm restarts check
+// every seed before queueing any, so a rejected call leaves inQueue clear.
+func checkSeeds(seeds []int, n int) error {
+	for _, v := range seeds {
+		if v < 0 || v >= n {
+			return fmt.Errorf("graph: seed %d outside 0..%d", v, n-1)
+		}
+	}
+	return nil
+}
+
+// push puts v on the initial queue of a warm restart, unless it is already
+// there, and returns the new queue length. Warm restarts clear nothing
+// else: inQueue is all false between runs (every SPFA run leaves it so,
+// aborted ones included), and a run reads pathLen only for the vertices it
+// dequeues — the ones pushed here, whose entry is reset, and the ones it
+// relaxed itself, whose entry it wrote.
+func (s *Scratch) push(v, count int) int {
+	if s.inQueue[v] {
+		return count
+	}
+	s.queue[count] = v
+	s.inQueue[v] = true
+	s.pathLen[v] = 0
+	return count + 1
+}
+
+// abort clears inQueue for the count entries left in the ring from head
+// on, so a run that stops early leaves the scratch as a completed run
+// does.
+func (s *Scratch) abort(head, count, n int) {
+	for ; count > 0; count-- {
+		s.inQueue[s.queue[head]] = false
+		head++
+		if head == n {
+			head = 0
+		}
+	}
+}
+
 // Longest computes single-source longest-path distances from src using a
 // queue-based Bellman–Ford (SPFA). dist[v] == NegInf means v is unreachable.
 // It returns ErrPositiveCycle if a positive cycle is reachable from src.
@@ -298,21 +338,15 @@ func (g *Graph) RelaxFrom(s *Scratch, seeds []int) ([]int64, error) {
 	for i := old; i < n; i++ {
 		dist[i] = NegInf
 	}
-	for i := range s.inQueue {
-		s.inQueue[i] = false
-		s.pathLen[i] = 0
+	if err := checkSeeds(seeds, n); err != nil {
+		return nil, err
 	}
 	count := 0
 	for _, v := range seeds {
-		if v < 0 || v >= n {
-			return nil, fmt.Errorf("graph: seed %d outside 0..%d", v, n-1)
-		}
 		// Unreachable seeds cannot improve anything (and must not leak
 		// NegInf+w pseudo-distances into the relaxation).
-		if !s.inQueue[v] && dist[v] != NegInf {
-			s.queue[count] = v
-			count++
-			s.inQueue[v] = true
+		if dist[v] != NegInf {
+			count = s.push(v, count)
 		}
 	}
 	s.n = n
@@ -351,19 +385,13 @@ func (g *Graph) RelaxReverseFrom(s *Scratch, seeds, refresh []int) ([]int64, err
 		}
 		dist[v] = NegInf
 	}
-	for i := range s.inQueue {
-		s.inQueue[i] = false
-		s.pathLen[i] = 0
+	if err := checkSeeds(seeds, n); err != nil {
+		return nil, err
 	}
 	count := 0
 	for _, v := range seeds {
-		if v < 0 || v >= n {
-			return nil, fmt.Errorf("graph: seed %d outside 0..%d", v, n-1)
-		}
-		if !s.inQueue[v] && dist[v] != NegInf {
-			s.queue[count] = v
-			count++
-			s.inQueue[v] = true
+		if dist[v] != NegInf {
+			count = s.push(v, count)
 		}
 	}
 	// Re-deriving a refresh vertex means re-popping the heads of its
@@ -371,10 +399,8 @@ func (g *Graph) RelaxReverseFrom(s *Scratch, seeds, refresh []int) ([]int64, err
 	// the queue once a neighbor with a valid distance improves them.
 	for _, v := range refresh {
 		for _, e := range g.adj[v] {
-			if h := e.To; !s.inQueue[h] && dist[h] != NegInf {
-				s.queue[count] = h
-				count++
-				s.inQueue[h] = true
+			if h := e.To; dist[h] != NegInf {
+				count = s.push(h, count)
 			}
 		}
 	}
@@ -417,6 +443,7 @@ func spfa(adj [][]Edge, s *Scratch, count int) error {
 				pathLen[e.To] = pathLen[u] + 1
 				if int(pathLen[e.To]) >= n {
 					s.Relaxations += relaxed
+					s.abort(head, count, n)
 					return ErrPositiveCycle
 				}
 				if !inQueue[e.To] {

@@ -154,19 +154,13 @@ func (g *Graph) RelaxRestrictedFrom(s *Scratch, seeds, admitted []int, r *Restri
 			dist[v] = NegInf
 		}
 	}
-	for i := range s.inQueue {
-		s.inQueue[i] = false
-		s.pathLen[i] = 0
+	if err := checkSeeds(seeds, n); err != nil {
+		return nil, err
 	}
 	count := 0
 	for _, v := range seeds {
-		if v < 0 || v >= n {
-			return nil, fmt.Errorf("graph: seed %d outside 0..%d", v, n-1)
-		}
-		if !s.inQueue[v] && dist[v] != NegInf && r.Visible[v] {
-			s.queue[count] = v
-			count++
-			s.inQueue[v] = true
+		if dist[v] != NegInf && r.Visible[v] {
+			count = s.push(v, count)
 		}
 	}
 	s.n = n
@@ -266,19 +260,13 @@ func (g *Graph) RelaxReverseRestrictedFrom(s *Scratch, seeds, admitted, refresh 
 		}
 		dist[v] = NegInf
 	}
-	for i := range s.inQueue {
-		s.inQueue[i] = false
-		s.pathLen[i] = 0
+	if err := checkSeeds(seeds, n); err != nil {
+		return nil, err
 	}
 	count := 0
 	for _, v := range seeds {
-		if v < 0 || v >= n {
-			return nil, fmt.Errorf("graph: seed %d outside 0..%d", v, n-1)
-		}
-		if !s.inQueue[v] && dist[v] != NegInf && r.Visible[v] {
-			s.queue[count] = v
-			count++
-			s.inQueue[v] = true
+		if dist[v] != NegInf && r.Visible[v] {
+			count = s.push(v, count)
 		}
 	}
 	// Re-deriving a refresh vertex means re-popping the heads of its
@@ -289,26 +277,20 @@ func (g *Graph) RelaxReverseRestrictedFrom(s *Scratch, seeds, admitted, refresh 
 	// them, so a whole band re-derives to its fixpoint through the queue.
 	for _, v := range refresh {
 		for _, e := range g.adj[v] {
-			if h := e.To; !s.inQueue[h] && dist[h] != NegInf && r.Visible[h] {
-				s.queue[count] = h
-				count++
-				s.inQueue[h] = true
+			if h := e.To; dist[h] != NegInf && r.Visible[h] {
+				count = s.push(h, count)
 			}
 		}
 		if v < len(r.Overlay) {
 			for _, e := range r.Overlay[v] {
-				if h := e.To; !s.inQueue[h] && dist[h] != NegInf && r.Visible[h] {
-					s.queue[count] = h
-					count++
-					s.inQueue[h] = true
+				if h := e.To; dist[h] != NegInf && r.Visible[h] {
+					count = s.push(h, count)
 				}
 			}
 		}
 		if r.BoundaryTo != nil && r.Idx[v] == r.Limit[r.Band[v]] {
-			if h := int(r.BoundaryTo[r.Band[v]]); h >= 0 && !s.inQueue[h] && dist[h] != NegInf {
-				s.queue[count] = h
-				count++
-				s.inQueue[h] = true
+			if h := int(r.BoundaryTo[r.Band[v]]); h >= 0 && dist[h] != NegInf {
+				count = s.push(h, count)
 			}
 		}
 	}
@@ -347,6 +329,7 @@ func spfaRestricted(adj [][]Edge, s *Scratch, count int, r *Restriction) error {
 				pathLen[e.To] = pathLen[u] + 1
 				if int(pathLen[e.To]) >= n {
 					s.Relaxations += relaxed
+					s.abort(head, count, n)
 					return ErrPositiveCycle
 				}
 				if !inQueue[e.To] {
@@ -368,6 +351,7 @@ func spfaRestricted(adj [][]Edge, s *Scratch, count int, r *Restriction) error {
 					pathLen[e.To] = pathLen[u] + 1
 					if int(pathLen[e.To]) >= n {
 						s.Relaxations += relaxed
+						s.abort(head, count, n)
 						return ErrPositiveCycle
 					}
 					if !inQueue[e.To] {
@@ -392,6 +376,7 @@ func spfaRestricted(adj [][]Edge, s *Scratch, count int, r *Restriction) error {
 					pathLen[to] = pathLen[u] + 1
 					if int(pathLen[to]) >= n {
 						s.Relaxations += relaxed
+						s.abort(head, count, n)
 						return ErrPositiveCycle
 					}
 					if !inQueue[to] {
@@ -440,6 +425,7 @@ func spfaReverseRestricted(radj [][]Edge, s *Scratch, count int, r *Restriction)
 				pathLen[e.To] = pathLen[u] + 1
 				if int(pathLen[e.To]) >= n {
 					s.Relaxations += relaxed
+					s.abort(head, count, n)
 					return ErrPositiveCycle
 				}
 				if !inQueue[e.To] {
@@ -461,6 +447,7 @@ func spfaReverseRestricted(radj [][]Edge, s *Scratch, count int, r *Restriction)
 					pathLen[e.To] = pathLen[u] + 1
 					if int(pathLen[e.To]) >= n {
 						s.Relaxations += relaxed
+						s.abort(head, count, n)
 						return ErrPositiveCycle
 					}
 					if !inQueue[e.To] {
@@ -485,6 +472,7 @@ func spfaReverseRestricted(radj [][]Edge, s *Scratch, count int, r *Restriction)
 					pathLen[from] = pathLen[u] + 1
 					if int(pathLen[from]) >= n {
 						s.Relaxations += relaxed
+						s.abort(head, count, n)
 						return ErrPositiveCycle
 					}
 					if !inQueue[from] {

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -274,4 +275,95 @@ func collectEdges(g *Graph) [][3]int {
 		}
 	}
 	return out
+}
+
+// TestWarmRestartAfterAbortedRun: warm restarts clear no scratch state, so
+// every SPFA variant must leave inQueue all false when it returns, also
+// when it aborts on a positive cycle with vertices still in its queue.
+// Each variant first aborts on a 12-vertex clique, then computes cold on a
+// 4-vertex graph (which resets only the first 4 entries), regrows it to 10
+// vertices and restarts warm. A queue flag left set past the shrink would
+// keep a regrown vertex out of the queue; the warm distances must equal a
+// fresh computation's.
+func TestWarmRestartAfterAbortedRun(t *testing.T) {
+	all := &Restriction{Band: make([]int32, 12), Idx: make([]int32, 12), Limit: []int32{0}}
+	for v := range all.Idx {
+		all.Idx[v] = AlwaysVisible
+	}
+	refreshVisible(all)
+	type variant struct {
+		name string
+		cold func(g *Graph, s *Scratch) ([]int64, error)
+		// warm restarts s on g after the growth; fwd and rev list the
+		// sources and the heads of the edges added.
+		warm func(g *Graph, s *Scratch, fwd, rev []int) ([]int64, error)
+	}
+	variants := []variant{
+		{"forward",
+			func(g *Graph, s *Scratch) ([]int64, error) { return g.LongestWith(s, 0) },
+			func(g *Graph, s *Scratch, fwd, _ []int) ([]int64, error) { return g.RelaxFrom(s, fwd) }},
+		{"reverse",
+			func(g *Graph, s *Scratch) ([]int64, error) { return g.LongestIntoWith(s, 3) },
+			func(g *Graph, s *Scratch, _, rev []int) ([]int64, error) { return g.RelaxReverseFrom(s, rev, nil) }},
+		{"forward-restricted",
+			func(g *Graph, s *Scratch) ([]int64, error) { return g.LongestRestricted(s, 0, all) },
+			func(g *Graph, s *Scratch, fwd, _ []int) ([]int64, error) {
+				return g.RelaxRestrictedFrom(s, fwd, nil, all)
+			}},
+		{"reverse-restricted",
+			func(g *Graph, s *Scratch) ([]int64, error) { return g.LongestIntoRestricted(s, 3, all) },
+			func(g *Graph, s *Scratch, _, rev []int) ([]int64, error) {
+				return g.RelaxReverseRestrictedFrom(s, rev, nil, nil, all)
+			}},
+	}
+	for _, vt := range variants {
+		var s Scratch
+		clique := New(12)
+		for u := 0; u < 12; u++ {
+			for v := 0; v < 12; v++ {
+				if u != v {
+					clique.AddEdge(u, v, 1)
+				}
+			}
+		}
+		if _, err := vt.cold(clique, &s); !errors.Is(err, ErrPositiveCycle) {
+			t.Fatalf("%s: clique: got %v, want ErrPositiveCycle", vt.name, err)
+		}
+		// Shrink: the chain 0 -> 1 -> 2 -> 3.
+		g := New(4)
+		for v := 0; v < 3; v++ {
+			g.AddEdge(v, v+1, 1)
+		}
+		if _, err := vt.cold(g, &s); err != nil {
+			t.Fatalf("%s: cold: %v", vt.name, err)
+		}
+		// Regrow: a detour 0 -> 4 -> ... -> 9 -> 3 of weight 8.
+		var fwd, rev []int
+		add := func(u, v, w int) {
+			g.AddEdge(u, v, w)
+			fwd, rev = append(fwd, u), append(rev, v)
+		}
+		for v := 4; v < 10; v++ {
+			g.AddVertex()
+		}
+		add(0, 4, 2)
+		for v := 4; v < 9; v++ {
+			add(v, v+1, 1)
+		}
+		add(9, 3, 1)
+		got, err := vt.warm(g, &s, fwd, rev)
+		if err != nil {
+			t.Fatalf("%s: warm: %v", vt.name, err)
+		}
+		var fresh Scratch
+		want, err := vt.cold(g, &fresh)
+		if err != nil {
+			t.Fatalf("%s: fresh: %v", vt.name, err)
+		}
+		for v := 0; v < g.N(); v++ {
+			if got[v] != want[v] {
+				t.Fatalf("%s: warm restart diverges at %d: %d vs %d", vt.name, v, got[v], want[v])
+			}
+		}
+	}
 }

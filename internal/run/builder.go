@@ -2,7 +2,6 @@ package run
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/clockless/zigzag/internal/model"
 )
@@ -70,31 +69,37 @@ func (bl *Builder) Tolerate() *Builder {
 // It fails if any event is inconsistent (bad channel, bad times, sender has
 // no node at the send time, event beyond horizon). Build does NOT check the
 // forced-delivery (upper bound deadline) discipline — call Validate on the
-// result for full legality checking.
+// result for full legality checking. Every error wraps one of this
+// package's Err* values or model.ErrBadProc.
+//
+// Build uses no maps and no comparison sorts. Every table it fills is dense
+// and indexed by process, time, flat node id or sent slot, and the
+// documented orders of Deliveries and PendingMessages fall out of the walks
+// that fill them, whatever the order the events were added in.
 func (bl *Builder) Build() (*Run, error) {
 	n := bl.net.N()
 	h := int(bl.horizon)
-
-	// 1. Collect the receive times of every process in horizon-indexed
-	// bitmaps (one shared backing array; no per-process maps).
-	recvBacking := make([]bool, n*(h+1))
-	recv := make([][]bool, n)
-	for i := range recv {
-		recv[i] = recvBacking[i*(h+1) : (i+1)*(h+1)]
+	if h < 0 {
+		return nil, fmt.Errorf("%w: negative horizon %d", ErrOutsideHorizon, h)
 	}
-	counts := make([]int, n)
+
+	// 1. Mark the receive times of every process: nodeAt[(p-1)*(h+1)+t] is
+	// first a receipt flag, then (step 2) the index of process p's node
+	// created at time t (0 = none).
+	nodeAt := make([]int32, n*(h+1))
+	counts := make([]int32, n)
 	note := func(p model.ProcID, t model.Time) error {
 		if !bl.net.ValidProc(p) {
 			return fmt.Errorf("%w: process %d", model.ErrBadProc, p)
 		}
 		if t < 1 {
-			return fmt.Errorf("run: time %d: receipts start at time 1", t)
+			return fmt.Errorf("%w: time %d: receipts start at time 1", ErrOutsideHorizon, t)
 		}
 		if t > bl.horizon {
 			return fmt.Errorf("%w: time %d > horizon %d", ErrOutsideHorizon, t, bl.horizon)
 		}
-		if !recv[p-1][t] {
-			recv[p-1][t] = true
+		if at := &nodeAt[int(p-1)*(h+1)+int(t)]; *at == 0 {
+			*at = 1
 			counts[p-1]++
 		}
 		return nil
@@ -109,11 +114,12 @@ func (bl *Builder) Build() (*Run, error) {
 			return nil, fmt.Errorf("external %q: %w", ev.Label, err)
 		}
 	}
+	node := func(p model.ProcID, t model.Time) int32 { return nodeAt[int(p-1)*(h+1)+int(t)] }
 
 	// 2. Assign node indices per process: index 0 at time 0, then one node
-	// per distinct receive time in ascending order. nodeAt[i][t] is the
-	// index of process i+1's node created at time t (0 = none).
-	total := n
+	// per distinct receive time in ascending order. The sent table gets
+	// deg(p) slots per node of p, initial nodes included.
+	total := int32(n)
 	for _, c := range counts {
 		total += c
 	}
@@ -122,33 +128,35 @@ func (bl *Builder) Build() (*Run, error) {
 		horizon: bl.horizon,
 		times:   make([][]model.Time, n),
 		nodeOff: make([]int32, n+1),
+		sentOff: make([]int32, n+1),
 		inbox:   make([]span, total),
-		extIn:   make(map[BasicNode][]int, len(bl.externs)),
-		sent:    make(map[sentKey]int, len(bl.messages)),
 	}
-	nodeBacking := make([]int32, n*(h+1))
-	nodeAt := make([][]int32, n)
 	timeBacking := make([]model.Time, 0, total)
+	sends := 0 // sent slots of non-initial nodes: deliveries + pending
 	for i := 0; i < n; i++ {
-		nodeAt[i] = nodeBacking[i*(h+1) : (i+1)*(h+1)]
-		r.nodeOff[i+1] = r.nodeOff[i] + int32(counts[i]) + 1
+		deg := int32(len(bl.net.OutArcs(model.ProcID(i + 1))))
+		r.nodeOff[i+1] = r.nodeOff[i] + counts[i] + 1
+		r.sentOff[i+1] = r.sentOff[i] + (counts[i]+1)*deg
+		sends += int(counts[i] * deg)
 		start := len(timeBacking)
 		timeBacking = append(timeBacking, 0)
+		row := nodeAt[i*(h+1) : (i+1)*(h+1)]
 		k := int32(0)
 		for t := 1; t <= h; t++ {
-			if recv[i][t] {
+			if row[t] != 0 {
 				k++
-				nodeAt[i][t] = k
+				row[t] = k
 				timeBacking = append(timeBacking, model.Time(t))
 			}
 		}
 		r.times[i] = timeBacking[start:len(timeBacking):len(timeBacking)]
 	}
+	r.sent = make([]int32, r.sentOff[n])
 
-	// 3. Wire deliveries. The sent map doubles as the duplicate-send check;
-	// its indices are fixed up after sorting below.
-	r.deliveries = make([]Delivery, 0, len(bl.messages))
-	for _, ev := range bl.messages {
+	// 3. Check every delivery. Its sent slot holds 1 + its event index for
+	// now, which is also the duplicate-send check, and its receiver's inbox
+	// span counts it in hi.
+	for i, ev := range bl.messages {
 		cid := bl.net.ChanIDOf(ev.FromProc, ev.ToProc)
 		if cid == model.NoChan {
 			return nil, fmt.Errorf("%w: %d->%d", ErrChannelMissing, ev.FromProc, ev.ToProc)
@@ -158,105 +166,115 @@ func (bl *Builder) Build() (*Run, error) {
 		}
 		var fromIdx int32
 		if ev.SendTime >= 1 && int(ev.SendTime) <= h {
-			fromIdx = nodeAt[ev.FromProc-1][ev.SendTime]
+			fromIdx = node(ev.FromProc, ev.SendTime)
 		}
 		if fromIdx == 0 {
-			return nil, fmt.Errorf("run: process %d has no node at send time %d", ev.FromProc, ev.SendTime)
+			return nil, fmt.Errorf("%w: process %d has no node at send time %d", ErrNoNode, ev.FromProc, ev.SendTime)
 		}
 		from := BasicNode{Proc: ev.FromProc, Index: int(fromIdx)}
-		to := BasicNode{Proc: ev.ToProc, Index: int(nodeAt[ev.ToProc-1][ev.RecvTime])}
-		d := Delivery{From: from, To: to, SendTime: ev.SendTime, RecvTime: ev.RecvTime, Chan: cid}
-		bd := bl.net.BoundsOf(cid)
+		to := BasicNode{Proc: ev.ToProc, Index: int(node(ev.ToProc, ev.RecvTime))}
 		lat := ev.RecvTime - ev.SendTime
 		if bl.tolerant {
 			if lat < 1 {
+				d := Delivery{From: from, To: to, SendTime: ev.SendTime, RecvTime: ev.RecvTime, Chan: cid}
 				return nil, fmt.Errorf("%w: %s latency %d < 1", ErrBadDelivery, d, lat)
 			}
-		} else if lat < bd.Lower || lat > bd.Upper {
+		} else if bd := bl.net.BoundsOf(cid); lat < bd.Lower || lat > bd.Upper {
+			d := Delivery{From: from, To: to, SendTime: ev.SendTime, RecvTime: ev.RecvTime, Chan: cid}
 			return nil, fmt.Errorf("%w: %s latency %d outside %s", ErrBadDelivery, d, lat, bd)
 		}
-		key := sentKey{from: from, to: ev.ToProc}
-		if _, dup := r.sent[key]; dup {
+		slot := &r.sent[r.sentSlot(from, cid)]
+		if *slot != 0 {
 			return nil, fmt.Errorf("%w: %s to %d", ErrDuplicateSend, from, ev.ToProc)
 		}
-		r.sent[key] = -1
-		r.deliveries = append(r.deliveries, d)
-	}
-	r.externals = make([]External, 0, len(bl.externs))
-	for _, ev := range bl.externs {
-		to := BasicNode{Proc: ev.Proc, Index: int(nodeAt[ev.Proc-1][ev.Time])}
-		idx := len(r.externals)
-		r.externals = append(r.externals, External{To: to, Time: ev.Time, Label: ev.Label})
-		r.extIn[to] = append(r.extIn[to], idx)
+		*slot = int32(i) + 1
+		r.inbox[r.flat(to)].hi++
 	}
 
-	// 4. Derive pending messages: every non-initial node sends on every
-	// outgoing channel under FFIP; sends without a recorded delivery are
-	// still in transit. Only presence in sent matters here, so this can run
-	// before the indices are fixed up.
-	for p := model.ProcID(1); int(p) <= n; p++ {
-		for k := 1; k <= r.LastIndex(p); k++ {
-			from := BasicNode{Proc: p, Index: k}
-			st := r.times[p-1][k]
-			for _, a := range bl.net.OutArcs(p) {
-				if _, ok := r.sent[sentKey{from: from, to: a.To}]; !ok {
-					r.pending = append(r.pending, Pending{From: from, To: a.To, SendTime: st, Chan: a.ID})
+	// 4. Walk the nodes time-major, then by process. Receiving nodes come
+	// out in arrival order (RecvTime, To.Proc), so each inbox span starts
+	// where the previous one ends. Sending nodes come out in
+	// (SendTime, From.Proc) order and their out-arcs in To order, which is
+	// the order of the pending list.
+	r.pending = make([]Pending, 0, sends-len(bl.messages))
+	var cursor int32
+	for t := 1; t <= h; t++ {
+		for i := 0; i < n; i++ {
+			k := nodeAt[i*(h+1)+t]
+			if k == 0 {
+				continue
+			}
+			b := BasicNode{Proc: model.ProcID(i + 1), Index: int(k)}
+			sp := &r.inbox[r.nodeOff[i]+k]
+			c := sp.hi
+			sp.lo, sp.hi = cursor, cursor
+			cursor += c
+			arcs := bl.net.OutArcs(b.Proc)
+			base := r.sentOff[i] + k*int32(len(arcs))
+			for s, a := range arcs {
+				if r.sent[base+int32(s)] == 0 {
+					r.pending = append(r.pending, Pending{From: b, To: a.To, SendTime: model.Time(t), Chan: a.ID})
 				}
 			}
 		}
 	}
-	sort.Slice(r.pending, func(i, j int) bool {
-		a, b := r.pending[i], r.pending[j]
-		if a.SendTime != b.SendTime {
-			return a.SendTime < b.SendTime
-		}
-		if a.From.Proc != b.From.Proc {
-			return a.From.Proc < b.From.Proc
-		}
-		return a.To < b.To
-	})
-	sort.Slice(r.deliveries, func(i, j int) bool {
-		a, b := r.deliveries[i], r.deliveries[j]
-		if a.RecvTime != b.RecvTime {
-			return a.RecvTime < b.RecvTime
-		}
-		if a.To.Proc != b.To.Proc {
-			return a.To.Proc < b.To.Proc
-		}
-		if a.From.Proc != b.From.Proc {
-			return a.From.Proc < b.From.Proc
-		}
-		// Two messages on one channel can share a receive batch (sent at
-		// different instants); SendTime makes the key total, so the
-		// recorded order is independent of event insertion order — the
-		// environment loops of sim and live interleave differently.
-		return a.SendTime < b.SendTime
-	})
-	// Re-index after sorting deliveries. Deliveries into one node share its
-	// (RecvTime, To.Proc) batch key, so after the sort each inbox is one
-	// contiguous span.
-	for idx, d := range r.deliveries {
-		r.sent[sentKey{from: d.From, to: d.To.Proc}] = idx
-		sp := &r.inbox[r.flat(d.To)]
-		if sp.hi == sp.lo {
-			sp.lo, sp.hi = int32(idx), int32(idx+1)
-		} else {
-			sp.hi = int32(idx + 1)
+
+	// 5. Place the deliveries, walking the sent table in sender order
+	// (From.Proc, SendTime). Appending each to its receiver's span keeps
+	// that order inside the batch, which completes the arrival order
+	// (RecvTime, To.Proc, From.Proc, SendTime): two messages on one channel
+	// can share a receive batch, and SendTime makes the key total. Every
+	// delivery is written once, straight into its final slot, and its sent
+	// slot is rewritten to 1 + its delivery index.
+	r.deliveries = make([]Delivery, len(bl.messages))
+	for i := 0; i < n; i++ {
+		p := model.ProcID(i + 1)
+		arcs := bl.net.OutArcs(p)
+		deg := len(arcs)
+		row := r.sent[r.sentOff[i]:r.sentOff[i+1]]
+		for j, e := range row {
+			if e == 0 {
+				continue
+			}
+			ev := &bl.messages[e-1]
+			to := BasicNode{Proc: ev.ToProc, Index: int(node(ev.ToProc, ev.RecvTime))}
+			sp := &r.inbox[r.flat(to)]
+			r.deliveries[sp.hi] = Delivery{
+				From:     BasicNode{Proc: p, Index: j / deg},
+				To:       to,
+				SendTime: ev.SendTime,
+				RecvTime: ev.RecvTime,
+				Chan:     arcs[j%deg].ID,
+			}
+			sp.hi++
+			row[j] = sp.hi
 		}
 	}
-	// Content fingerprint over the canonical event log: deliveries in the
-	// arrival order just established and externals in recorded order. The
-	// sort above makes the hash independent of event insertion order, so the
-	// interleaving differences between the sim and live environment loops
-	// cannot split fingerprints of byte-identical recordings.
-	fph := fpMix(fpSeed(bl.net), uint64(bl.horizon))
-	for _, d := range r.deliveries {
-		fph = fpDelivery(fph, d)
+
+	// 6. Externals keep their recorded order. A stable counting sort on the
+	// flat node id groups their indices per node, in recorded order.
+	r.externals = make([]External, len(bl.externs))
+	if len(bl.externs) > 0 {
+		r.extOff = make([]int32, total+1)
+		r.extIdx = make([]int32, len(bl.externs))
+		for i, ev := range bl.externs {
+			to := BasicNode{Proc: ev.Proc, Index: int(node(ev.Proc, ev.Time))}
+			r.externals[i] = External{To: to, Time: ev.Time, Label: ev.Label}
+			r.extOff[r.flat(to)+1]++
+		}
+		for f := int32(1); f <= total; f++ {
+			r.extOff[f] += r.extOff[f-1]
+		}
+		for i, e := range r.externals {
+			at := &r.extOff[r.flat(e.To)]
+			r.extIdx[*at] = int32(i)
+			*at++
+		}
+		// Placement advanced each node's offset to the next node's start;
+		// shift them back.
+		copy(r.extOff[1:], r.extOff[:total])
+		r.extOff[0] = 0
 	}
-	for _, e := range r.externals {
-		fph = fpExternal(fph, e)
-	}
-	r.fingerprint = fpFinish(fph)
 	return r, nil
 }
 

@@ -77,9 +77,21 @@ func fpFinish(h uint64) uint64 {
 }
 
 // Fingerprint returns the run's content hash: the network fingerprint, the
-// horizon, every delivery in arrival order (sorted by receive batch, the
-// order Deliveries returns) and every external input in recorded order. It
-// is computed once by Builder.Build; byte-identical recordings — notably a
-// live execution and sim.Simulate of the same configuration — agree on it.
-// It is never zero.
-func (r *Run) Fingerprint() uint64 { return r.fingerprint }
+// horizon, every delivery in arrival order (the order Deliveries returns,
+// which does not depend on the order events were added to the Builder) and
+// every external input in recorded order. It is computed on first use and
+// then kept; byte-identical recordings — notably a live execution and
+// sim.Simulate of the same configuration — agree on it. It is never zero.
+func (r *Run) Fingerprint() uint64 {
+	r.fpOnce.Do(func() {
+		h := fpMix(fpSeed(r.net), uint64(r.horizon))
+		for _, d := range r.deliveries {
+			h = fpDelivery(h, d)
+		}
+		for _, e := range r.externals {
+			h = fpExternal(h, e)
+		}
+		r.fingerprint = fpFinish(h)
+	})
+	return r.fingerprint
+}

@@ -1,10 +1,6 @@
 package run
 
-import (
-	"sort"
-
-	"github.com/clockless/zigzag/internal/model"
-)
+import "github.com/clockless/zigzag/internal/model"
 
 // PastSet is past(r, sigma): the set of basic nodes sigma' with
 // sigma' happens-before sigma (Definition 2), including sigma itself. Under
@@ -157,38 +153,4 @@ func (r *Run) ChainPrefix(ps *PastSet, theta GeneralNode) (prefix []BasicNode, h
 		hops++
 	}
 	return prefix, hops
-}
-
-// MessagesLeavingPast returns, in deterministic order, the (sender node,
-// destination process) pairs for messages sent at nodes of the past set and
-// not received inside it — the E” generators of the extended bounds graph
-// (Definition 16). This includes messages whose delivery is recorded beyond
-// the past and messages still pending at the horizon.
-func (r *Run) MessagesLeavingPast(ps *PastSet) []Pending {
-	var out []Pending
-	for i, k := range ps.members {
-		p := model.ProcID(i + 1)
-		for idx := 1; idx <= k; idx++ {
-			from := BasicNode{Proc: p, Index: idx}
-			st := r.times[p-1][idx]
-			for _, a := range r.net.OutArcs(p) {
-				d, ok := r.DeliveryFrom(from, a.To)
-				if ok && ps.Contains(d.To) {
-					continue
-				}
-				out = append(out, Pending{From: from, To: a.To, SendTime: st, Chan: a.ID})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.From.Proc != b.From.Proc {
-			return a.From.Proc < b.From.Proc
-		}
-		if a.From.Index != b.From.Index {
-			return a.From.Index < b.From.Index
-		}
-		return a.To < b.To
-	})
-	return out
 }

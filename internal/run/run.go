@@ -70,13 +70,6 @@ func (p Pending) Deadline(net *model.Network) model.Time {
 // slice; the zero value is the empty span.
 type span struct{ lo, hi int32 }
 
-// sentKey identifies the unique FFIP message sent at a node on one outgoing
-// channel.
-type sentKey struct {
-	from BasicNode
-	to   model.ProcID
-}
-
 // Run is a finite recording of an execution of the FFIP in a bounded
 // context: the first Horizon+1 global states of an infinite run. It is
 // immutable once built and safe for concurrent reads.
@@ -96,18 +89,27 @@ type Run struct {
 	nodeOff []int32
 
 	// inbox[flat(node)] is the contiguous range of deliveries absorbed in
-	// the node's creating batch (deliveries are sorted by receive batch);
-	// extIn likewise lists indices into externals.
+	// the node's creating batch (deliveries are in arrival order, grouped
+	// by receive batch).
 	inbox []span
-	extIn map[BasicNode][]int
+	// extIdx[extOff[f]:extOff[f+1]] lists, in recorded order, the indices
+	// into externals absorbed by the node of flat id f. Both are nil when
+	// the run has no externals.
+	extOff []int32
+	extIdx []int32
 
-	// sent[{from, to}] is the index into deliveries of the message sent at
-	// node from to process to, if it was delivered within the horizon.
-	sent map[sentKey]int
+	// sent is the dense table of FFIP messages over the network's CSR
+	// out-arcs: sent[sentOff[p-1]+k*deg(p)+slot] is 1 + the index into
+	// deliveries of the message p#k sent on its slot-th out-arc, and 0 if
+	// that message is pending or p#k is initial. sentOff has n+1 entries.
+	sentOff []int32
+	sent    []int32
 
 	pending []Pending
 
-	// fingerprint is the content hash of the recording (see Fingerprint).
+	// fingerprint is the content hash of the recording (see Fingerprint),
+	// computed once, on first use.
+	fpOnce      sync.Once
 	fingerprint uint64
 
 	// tl is the time-free timeline table ViewOf slices views from, built
@@ -119,6 +121,23 @@ type Run struct {
 // flat returns the node's index into flat per-node tables; the caller must
 // ensure the node appears in the run.
 func (r *Run) flat(b BasicNode) int32 { return r.nodeOff[b.Proc-1] + int32(b.Index) }
+
+// sentSlot returns the index into sent of the message node from sends on
+// channel cid, which must be one of from.Proc's out-arcs; the caller must
+// ensure the node appears in the run.
+func (r *Run) sentSlot(from BasicNode, cid model.ChanID) int32 {
+	arcs := r.net.OutArcs(from.Proc)
+	return r.sentOff[from.Proc-1] + int32(from.Index*len(arcs)) + int32(cid-arcs[0].ID)
+}
+
+// extAt returns the indices into externals absorbed by the node of flat
+// id f, in recorded order.
+func (r *Run) extAt(f int32) []int32 {
+	if r.extOff == nil {
+		return nil
+	}
+	return r.extIdx[r.extOff[f]:r.extOff[f+1]]
+}
 
 // Errors reported by run construction and validation.
 var (
@@ -195,16 +214,18 @@ func (r *Run) NodeAt(p model.ProcID, t model.Time) BasicNode {
 	return BasicNode{Proc: p, Index: idx}
 }
 
-// Deliveries returns all deliveries in recording order. Callers must not
-// mutate the returned slice.
+// Deliveries returns all deliveries in arrival order: by (RecvTime,
+// To.Proc, From.Proc, SendTime), so the deliveries into one node are
+// contiguous. Callers must not mutate the returned slice.
 func (r *Run) Deliveries() []Delivery { return r.deliveries }
 
-// Externals returns all external inputs. Callers must not mutate the
-// returned slice.
+// Externals returns all external inputs in recorded order. Callers must
+// not mutate the returned slice.
 func (r *Run) Externals() []External { return r.externals }
 
-// PendingMessages returns the messages still in transit at the horizon.
-// Callers must not mutate the returned slice.
+// PendingMessages returns the messages still in transit at the horizon,
+// ordered by (SendTime, From.Proc, To). Callers must not mutate the
+// returned slice.
 func (r *Run) PendingMessages() []Pending { return r.pending }
 
 // Inbox returns the deliveries absorbed by the batch that created node b.
@@ -235,7 +256,7 @@ func (r *Run) timelines() [][]batch {
 				node := BasicNode{Proc: model.ProcID(i + 1), Index: k}
 				sp := r.inbox[r.flat(node)]
 				seg[k].in = ds[sp.lo:sp.hi:sp.hi]
-				for _, idx := range r.extIn[node] {
+				for _, idx := range r.extAt(r.flat(node)) {
 					if l := r.externals[idx].Label; !slices.Contains(seg[k].ext, l) {
 						seg[k].ext = append(seg[k].ext, l)
 					}
@@ -250,7 +271,10 @@ func (r *Run) timelines() [][]batch {
 // ExternalsAt returns the external inputs absorbed by the batch that
 // created node b.
 func (r *Run) ExternalsAt(b BasicNode) []External {
-	idxs := r.extIn[b]
+	if !r.Appears(b) {
+		return []External{}
+	}
+	idxs := r.extAt(r.flat(b))
 	es := make([]External, len(idxs))
 	for i, idx := range idxs {
 		es[i] = r.externals[idx]
@@ -260,13 +284,20 @@ func (r *Run) ExternalsAt(b BasicNode) []External {
 
 // DeliveryFrom returns the delivery of the message sent at node from to
 // process to, and false if that message is still pending (or from never
-// sends, i.e. it is initial).
+// sends, i.e. it is initial). It is also false if from does not appear in
+// the run or the network has no channel from.Proc -> to.
 func (r *Run) DeliveryFrom(from BasicNode, to model.ProcID) (Delivery, bool) {
-	idx, ok := r.sent[sentKey{from: from, to: to}]
-	if !ok {
+	if !r.Appears(from) {
 		return Delivery{}, false
 	}
-	return r.deliveries[idx], true
+	cid := r.net.ChanIDOf(from.Proc, to)
+	if cid == model.NoChan {
+		return Delivery{}, false
+	}
+	if e := r.sent[r.sentSlot(from, cid)]; e != 0 {
+		return r.deliveries[e-1], true
+	}
+	return Delivery{}, false
 }
 
 // Resolve computes basic(theta, r) per Definition 4: the basic node reached

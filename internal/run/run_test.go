@@ -122,8 +122,12 @@ func TestValidateMissedDeadline(t *testing.T) {
 	if err := r2.Validate(); err != nil {
 		t.Errorf("in-transit at horizon flagged: %v", err)
 	}
-	if len(r2.PendingMessages()) != 1 {
-		t.Errorf("pending = %d, want 1", len(r2.PendingMessages()))
+	pending := r2.PendingMessages()
+	if len(pending) != 1 {
+		t.Fatalf("pending = %d, want 1", len(pending))
+	}
+	if dl := pending[0].Deadline(r2.Net()); dl != 1+4 {
+		t.Errorf("deadline = %d, want 5", dl)
 	}
 }
 
@@ -255,22 +259,6 @@ func TestChainPrefix(t *testing.T) {
 	}
 	if len(prefix) != 2 || prefix[1] != sigma2 {
 		t.Errorf("prefix = %v", prefix)
-	}
-}
-
-func TestMessagesLeavingPast(t *testing.T) {
-	r := chainRun(t)
-	ps, err := r.Past(BasicNode{Proc: 2, Index: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	leaving := r.MessagesLeavingPast(ps)
-	// 2#1's message to 3 is received outside the past.
-	if len(leaving) != 1 || leaving[0].From.Proc != 2 || leaving[0].To != 3 {
-		t.Errorf("leaving = %v", leaving)
-	}
-	if dl := leaving[0].Deadline(r.Net()); dl != 3+4 {
-		t.Errorf("deadline = %d, want 7", dl)
 	}
 }
 

@@ -49,7 +49,7 @@ func (r *Run) Validate() error {
 		for k := 0; k <= r.LastIndex(p); k++ {
 			b := BasicNode{Proc: p, Index: k}
 			sp := r.inbox[r.flat(b)]
-			receipts := int(sp.hi-sp.lo) + len(r.extIn[b])
+			receipts := int(sp.hi-sp.lo) + len(r.extAt(r.flat(b)))
 			if k == 0 && receipts != 0 {
 				return fmt.Errorf("run: initial node %s has %d receipts", b, receipts)
 			}
@@ -95,12 +95,13 @@ func (r *Run) Validate() error {
 
 	// 4+5. Forced-delivery discipline and single send per channel.
 	for _, p := range net.Procs() {
+		arcs := net.OutArcs(p)
 		for k := 1; k <= r.LastIndex(p); k++ {
 			from := BasicNode{Proc: p, Index: k}
 			st := r.times[p-1][k]
-			for _, a := range net.OutArcs(p) {
-				_, delivered := r.DeliveryFrom(from, a.To)
-				if !delivered && st+a.Bounds.Upper <= r.horizon {
+			row := r.sent[r.sentOff[p-1]+int32(k*len(arcs)):]
+			for s, a := range arcs {
+				if delivered := row[s] != 0; !delivered && st+a.Bounds.Upper <= r.horizon {
 					return fmt.Errorf("%w: message %s->%d sent at %d, deadline %d, horizon %d",
 						ErrMissedDeadline, from, a.To, st, st+a.Bounds.Upper, r.horizon)
 				}
